@@ -29,7 +29,6 @@ from .graphs import (
     QUASI_CRYSTAL,
     Component,
     component_from_json_dict,
-    component_signature,
     component_to_dot,
     component_to_json_dict,
     crystal_overlay,

@@ -28,6 +28,7 @@ from .words import (
     coarsenings,
     format_composition,
     is_partition,
+    validate_composition,
     weight,
     words_of_weight,
     words_over,
@@ -41,13 +42,6 @@ class TooLargeError(Exception):
 
 MAX_BRUTE_WEIGHT = 10
 MAX_BRUTE_WORDS = 200_000
-
-
-def _validate_composition(shape) -> Composition:
-    shape = tuple(shape)
-    if any(not isinstance(p, int) or p < 1 for p in shape):
-        raise ValueError("composition parts must be positive integers")
-    return shape
 
 
 def _guard_weight(shape: Composition) -> None:
@@ -76,7 +70,7 @@ def multinomial(total: int, parts) -> int:
 def hypo_class_size(shape: Composition, n: int) -> int:
     """Size of any hypoplactic class whose tableau has the given shape,
     over the alphabet 1..n: an inclusion-exclusion over coarsenings."""
-    shape = _validate_composition(shape)
+    shape = validate_composition(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(shape) > n:
@@ -92,7 +86,7 @@ def hypo_class_members(shape: Composition, n: int) -> list[Word]:
     """The hypoplactic class of the highest-weight word of the given
     shape, listed lexicographically.  Brute force: enumerate all words
     of that weight and keep those inserting to the same tableau."""
-    shape = _validate_composition(shape)
+    shape = validate_composition(shape)
     _guard_weight(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -119,7 +113,7 @@ def novelli_recursion_check(alpha: Composition, n: int) -> bool:
     alphabet covers the content, so the check enumerates over
     max(n, len(alpha)) symbols.
     """
-    alpha = _validate_composition(alpha)
+    alpha = validate_composition(alpha)
     _guard_weight(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -131,7 +125,7 @@ def novelli_recursion_check(alpha: Composition, n: int) -> bool:
 def count_qrt(shape: Composition, n: int) -> int:
     """Number of quasi-ribbon tableaux of the given shape with entries
     in 1..n."""
-    shape = _validate_composition(shape)
+    shape = validate_composition(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(shape) > n:
@@ -141,7 +135,7 @@ def count_qrt(shape: Composition, n: int) -> int:
 
 def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTableau]:
     """Generate every quasi-ribbon tableau of the given shape over 1..n."""
-    shape = _validate_composition(shape)
+    shape = validate_composition(shape)
     total = sum(shape)
     if total == 0:
         yield QuasiRibbonTableau()
@@ -163,7 +157,7 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
 
 def count_qrt_brute(shape: Composition, n: int) -> int:
     """Oracle for count_qrt by exhaustive filling."""
-    shape = _validate_composition(shape)
+    shape = validate_composition(shape)
     _guard_weight(shape)
     return sum(1 for _ in qr_tableaux_of_shape(shape, n))
 
@@ -177,7 +171,7 @@ def count_iso_plac_components_with_qrw(lam: Composition, n: int) -> int:
     if n < 1:
         raise ValueError("n must be at least 1")
     if not lam:
-        return 1 if n >= 0 else 0
+        return 1
     if sum(lam) - lam[0] + 1 > n:
         return 0
     diffs = [lam[h] - lam[h + 1] for h in range(len(lam) - 1)] + [lam[-1]]

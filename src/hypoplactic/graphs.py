@@ -5,7 +5,7 @@ from u to v exactly when the lowering operator for i sends u to v; the
 two graphs differ only in the operator family.  Components are finite
 (operators preserve length), every vertex has at most one in- and one
 out-edge per label, and each component has a unique root on which no
-raising operator acts.
+raising operator acts and from which lowering reaches every vertex.
 
 Isomorphism of components (bijective, weight-preserving, edge- and
 label-preserving) is decided by canonical signatures: a breadth-first
@@ -79,8 +79,21 @@ class Component:
             raise ValueError("some vertex has two in-edges with one label")
         if any(v == root for _, v in labelled_targets):
             raise ValueError("root must have no in-edges")
-        self._order: Optional[list[Word]] = None
-        self._index: Optional[dict[Word, int]] = None
+        # The canonical numbering doubles as the reachability check.
+        order = [root]
+        index = {root: 0}
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in self.out[u].values():
+                if v not in index:
+                    index[v] = len(order)
+                    order.append(v)
+                    queue.append(v)
+        if len(order) != len(self.vertices):
+            raise ValueError("component is not reachable from its root")
+        self._order = order
+        self._index = index
 
     @property
     def edges(self) -> list[Edge]:
@@ -91,35 +104,18 @@ class Component:
     def canonical_order(self) -> list[Word]:
         """Vertices in breadth-first order from the root, out-edges
         visited by increasing label.  Covers the whole component."""
-        if self._order is None:
-            order = [self.root]
-            index = {self.root: 0}
-            queue = deque([self.root])
-            while queue:
-                u = queue.popleft()
-                for i, v in self.out[u].items():
-                    if v not in index:
-                        index[v] = len(order)
-                        order.append(v)
-                        queue.append(v)
-            if len(order) != len(self.vertices):
-                raise ValueError("component is not reachable from its root")
-            self._order = order
-            self._index = index
         return self._order
 
     def index_of(self, w: Word) -> int:
-        self.canonical_order()
         return self._index[w]
 
     def signature(self) -> tuple:
         """Canonical encoding deciding isomorphism: per visited vertex,
         its weight and its labelled out-edges as visit indices."""
-        order = self.canonical_order()
         index = self._index
         return tuple(
             (weight(u), tuple((i, index[v]) for i, v in self.out[u].items()))
-            for u in order
+            for u in self._order
         )
 
     def __len__(self):
@@ -133,34 +129,28 @@ class Component:
 
 
 def explore_component(w: Word, n: int, kind: str) -> Component:
-    """Closure of ``w`` under the raising and lowering operators of the
-    chosen kind, with labels 1..n-1."""
+    """The component of ``w`` with labels 1..n-1: raise ``w`` to its
+    root, then search breadth-first from the root with the lowering
+    operators of the chosen kind only, in increasing label order."""
     kind = _normalize_kind(kind)
-    check_alphabet(w, n)
-    raise_op, lower_op = _OPERATORS[kind]
-    out: dict[Word, dict[int, Word]] = {}
-    seen = {w}
-    queue = deque([w])
+    root = highest_weight_word(w, n, kind)
+    _, lower_op = _OPERATORS[kind]
+    out: dict[Word, dict[int, Word]] = {root: {}}
+    queue = deque([root])
     while queue:
         u = queue.popleft()
-        targets: dict[int, Word] = {}
         for i in range(1, n):
             v = lower_op(u, i)
             if v is not None:
-                targets[i] = v
-                if v not in seen:
-                    seen.add(v)
+                out[u][i] = v
+                if v not in out:
+                    out[v] = {}
                     queue.append(v)
-            p = raise_op(u, i)
-            if p is not None and p not in seen:
-                seen.add(p)
-                queue.append(p)
-        out[u] = targets
-    has_in = {v for ts in out.values() for v in ts.values()}
-    roots = [u for u in out if u not in has_in]
-    if len(roots) != 1:
-        raise AssertionError(f"component of {format_word(w)!r} has roots {roots}")
-    return Component(kind, n, roots[0], out)
+    if w not in out:
+        raise AssertionError(
+            f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
+        )
+    return Component(kind, n, root, out)
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
@@ -191,10 +181,6 @@ def is_highest_weight_hypo(w: Word) -> bool:
     if set(w) != set(range(1, m + 1)):
         return False
     return all(has_inversion(w, i) for i in range(1, m))
-
-
-def component_signature(c: Component) -> tuple:
-    return c.signature()
 
 
 def sim_related(u: Word, v: Word, n: int) -> bool:

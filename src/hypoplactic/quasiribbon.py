@@ -1,7 +1,8 @@
 """Quasi-ribbon tableaux and the hypoplactic side of the theory:
 single-symbol insertion, the insertion/recording correspondence and its
-inverse, the hypoplactic congruence, and the slide up-slide left bridge
-back to Young tableaux.
+inverse (both read off one stable sort of the word, after Novelli), the
+hypoplactic congruence, and the slide up-slide left bridge back to Young
+tableaux.
 
 A ribbon diagram of composition shape alpha has alpha[h] cells in row
 h, with the leftmost cell of each row directly below the rightmost cell
@@ -21,10 +22,8 @@ from itertools import accumulate
 from .words import (
     Composition,
     Word,
-    descent_composition,
-    inverse_permutation,
     max_decreasing_factorization,
-    standardize,
+    validate_composition,
     weight,
 )
 from .young import YoungTableau, _render_grid, plactic_relations
@@ -41,13 +40,6 @@ def _row_offsets(shape: Composition) -> list[int]:
     for part in shape[:-1]:
         offsets.append(offsets[-1] + part - 1)
     return offsets
-
-
-def _validate_shape(shape) -> Composition:
-    shape = tuple(shape)
-    if any(not isinstance(p, int) or p < 1 for p in shape):
-        raise ValueError("shape parts must be positive integers")
-    return shape
 
 
 def _split_rows(shape: Composition, flat: tuple) -> list[tuple]:
@@ -92,7 +84,7 @@ class QuasiRibbonTableau:
     __slots__ = ("shape", "entries")
 
     def __init__(self, shape=(), entries=()):
-        shape = _validate_shape(shape)
+        shape = validate_composition(shape)
         entries = tuple(entries)
         if len(entries) != sum(shape):
             raise ValueError("entry count does not match shape")
@@ -161,7 +153,7 @@ class RecordingRibbon:
     __slots__ = ("shape", "labels")
 
     def __init__(self, shape=(), labels=()):
-        shape = _validate_shape(shape)
+        shape = validate_composition(shape)
         labels = tuple(labels)
         if len(labels) != sum(shape):
             raise ValueError("label count does not match shape")
@@ -342,48 +334,55 @@ def kt_insert(T: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
     )
 
 
-def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
-    """Insert the word symbol by symbol, recording insertion order.
+def _sort_positions(w: Word) -> tuple[list[int], Composition]:
+    """Positions of ``w`` sorted stably by symbol, so that
+    ``[h + 1 for h in order]`` is std(w)^-1, and the quasi-ribbon shape
+    of ``w``: the descent composition of std(w)^-1."""
+    order = sorted(range(len(w)), key=w.__getitem__)
+    shape: list[int] = []
+    prev = len(w)
+    for h in order:
+        if h < prev:
+            shape.append(1)
+        else:
+            shape[-1] += 1
+        prev = h
+    return order, tuple(shape)
 
-    Returns the quasi-ribbon tableau and the same-shape recording
-    ribbon; the pair determines the word.
+
+def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
+    """The pair that inserting ``w`` symbol by symbol with ``kt_insert``
+    builds, read off directly (Novelli): the tableau holds sorted(w) and
+    the same-shape recording ribbon holds std(w)^-1.  The pair
+    determines the word.
     """
-    shape: Composition = ()
-    entries: list[int] = []
-    labels: list[int] = []
-    for i, a in enumerate(w, start=1):
-        if a < 1:
-            raise ValueError("symbols must be positive")
-        cut = bisect_right(entries, a)
-        entries.insert(cut, a)
-        labels.insert(cut, i)
-        shape = _shape_after_insert(shape, cut)
-    return QuasiRibbonTableau(shape, entries), RecordingRibbon(shape, labels)
+    order, shape = _sort_positions(w)
+    if order and w[order[0]] < 1:
+        raise ValueError("symbols must be positive")
+    return (
+        QuasiRibbonTableau(shape, [w[h] for h in order]),
+        RecordingRibbon(shape, [h + 1 for h in order]),
+    )
 
 
 def hypo_rsk_inverse(T: QuasiRibbonTableau, R: RecordingRibbon) -> Word:
     """Recover the word inserting to ``(T, R)``.
 
-    Cells are removed in decreasing label order; removing a cell from
-    the path is exactly the inverse of one insertion step.
+    The entry in the path cell labelled k is the k-th symbol of the
+    word.
     """
     if T.shape != R.shape:
         raise ValueError("tableau and recording ribbon shapes differ")
-    entries = list(T.entries)
-    labels = list(R.labels)
-    reversed_word = []
-    for k in range(len(labels), 0, -1):
-        pos = labels.index(k)
-        reversed_word.append(entries[pos])
-        del entries[pos]
-        del labels[pos]
-    return tuple(reversed(reversed_word))
+    word = [0] * len(R.labels)
+    for a, k in zip(T.entries, R.labels):
+        word[k - 1] = a
+    return tuple(word)
 
 
 def predicted_shape(w: Word) -> Composition:
     """Shape of the quasi-ribbon tableau of ``w``, computed without
-    inserting: the descent composition of the inverse of std(w)."""
-    return descent_composition(inverse_permutation(standardize(w)))
+    building it: the descent composition of the inverse of std(w)."""
+    return _sort_positions(w)[1]
 
 
 def hypo_congruent(u: Word, v: Word) -> bool:
@@ -414,13 +413,13 @@ def hypoplactic_relations(n: int) -> list[tuple[Word, Word]]:
 
 def standard_ribbon(shape: Composition) -> QuasiRibbonTableau:
     """The unique quasi-ribbon tableau of the given shape holding 1..N."""
-    shape = _validate_shape(shape)
+    shape = validate_composition(shape)
     return QuasiRibbonTableau(shape, range(1, sum(shape) + 1))
 
 
 def highest_weight_qrw(shape: Composition) -> Word:
     """Reading of the quasi-ribbon tableau whose row j holds only j."""
-    shape = _validate_shape(shape)
+    shape = validate_composition(shape)
     entries = [j for j, part in enumerate(shape, start=1) for _ in range(part)]
     return QuasiRibbonTableau(shape, entries).reading()
 

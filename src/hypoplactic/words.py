@@ -20,7 +20,7 @@ comma-separated integers.
 
 from __future__ import annotations
 
-from itertools import zip_longest
+from itertools import product, zip_longest
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -254,14 +254,18 @@ def check_alphabet(w: Word, n: int) -> None:
         raise ValueError(f"word {format_word(w)!r} has a symbol above {n}")
 
 
+def validate_composition(shape) -> Composition:
+    """Return ``shape`` as a tuple, rejecting parts that are not
+    positive integers."""
+    shape = tuple(shape)
+    if any(not isinstance(p, int) or p < 1 for p in shape):
+        raise ValueError("composition parts must be positive integers")
+    return shape
+
+
 def words_over(n: int, length: int) -> Iterator[Word]:
     """All words of the given length over 1..n, lexicographically."""
-    if length == 0:
-        yield ()
-        return
-    for prefix in words_over(n, length - 1):
-        for a in range(1, n + 1):
-            yield prefix + (a,)
+    return product(range(1, n + 1), repeat=length)
 
 
 def _next_permutation(a: list[int]) -> bool:

@@ -8,7 +8,6 @@ from hypoplactic.graphs import (
     QUASI_CRYSTAL,
     Component,
     component_from_json_dict,
-    component_signature,
     component_to_dot,
     component_to_json_dict,
     crystal_overlay,
@@ -68,13 +67,13 @@ class TestExplore:
         ops = {CRYSTAL: (kashiwara_e, kashiwara_f), QUASI_CRYSTAL: (quasi_e, quasi_f)}
         for kind in (CRYSTAL, QUASI_CRYSTAL):
             raise_op, lower_op = ops[kind]
-            for w in words_up_to(3, 4):
-                c = explore_component(w, 3, kind)
+            for n, w in [(n, w) for n in (3, 4) for w in words_up_to(n, 4)]:
+                c = explore_component(w, n, kind)
                 assert w in c.vertices
                 in_edges = defaultdict(int)
                 for u in c.vertices:
                     assert len(u) == len(w)
-                    for i in (1, 2):
+                    for i in range(1, n):
                         down = lower_op(u, i)
                         up = raise_op(u, i)
                         assert down is None or down in c.vertices
@@ -125,26 +124,26 @@ class TestSignatures:
     def test_isomorphic_pair(self):
         a = explore_component((1, 2, 1, 2), 4, QUASI_CRYSTAL)
         b = explore_component((2, 1, 2, 1), 4, QUASI_CRYSTAL)
-        assert component_signature(a) == component_signature(b)
+        assert a.signature() == b.signature()
         assert a.vertices != b.vertices
 
     def test_crystal_isomorphic_pair(self):
         a = explore_component(parse_word("211"), 3, CRYSTAL)
         b = explore_component(parse_word("121"), 3, CRYSTAL)
         assert a.root == parse_word("211") and b.root == parse_word("121")
-        assert component_signature(a) == component_signature(b)
+        assert a.signature() == b.signature()
 
     def test_isolated_same_weight(self):
         a = explore_component(parse_word("421323"), 4, QUASI_CRYSTAL)
         b = explore_component(parse_word("321423"), 4, QUASI_CRYSTAL)
         assert len(a) == len(b) == 1
         assert weight(parse_word("421323")) == weight(parse_word("321423"))
-        assert component_signature(a) == component_signature(b)
+        assert a.signature() == b.signature()
 
     def test_non_isomorphic(self):
         a = explore_component((3, 2, 1), 3, CRYSTAL)
         b = explore_component((1, 2, 3), 3, CRYSTAL)
-        assert component_signature(a) != component_signature(b)
+        assert a.signature() != b.signature()
 
 
 class TestSimRelated:
@@ -234,11 +233,11 @@ class TestCrystalOverlay:
         a = explore_component(parse_word("321213"), 4, QUASI_CRYSTAL)
         b = explore_component(parse_word("321312"), 4, QUASI_CRYSTAL)
         assert a.vertices != b.vertices
-        assert component_signature(a) == component_signature(b)
+        assert a.signature() == b.signature()
         isolated_a = explore_component(parse_word("421323"), 4, QUASI_CRYSTAL)
         isolated_b = explore_component(parse_word("321423"), 4, QUASI_CRYSTAL)
         assert len(isolated_a) == len(isolated_b) == 1
-        assert component_signature(isolated_a) == component_signature(isolated_b)
+        assert isolated_a.signature() == isolated_b.signature()
 
 
 class TestQuasiRibbonComponents:
@@ -275,7 +274,7 @@ class TestIsomorphismsRestrict:
                     continue
                 c = explore_component(w, 3, CRYSTAL)
                 seen |= c.vertices
-                by_signature[component_signature(c)].append(c)
+                by_signature[c.signature()].append(c)
             for group in by_signature.values():
                 reference = group[0]
                 ref_order = reference.canonical_order()
@@ -415,6 +414,22 @@ class TestSerialization:
             dumped = json.dumps(component_to_json_dict(c))
             reparsed = component_from_json_dict(json.loads(dumped))
             assert json.dumps(component_to_json_dict(reparsed)) == dumped
+
+    def test_json_rejects_vertex_unreached_from_root(self):
+        # 11 and 12 point at each other, so neither is a second root
+        data = {
+            "kind": QUASI_CRYSTAL,
+            "n": 2,
+            "root": "1",
+            "vertices": ["1", "2", "11", "12"],
+            "edges": [
+                {"from": "1", "label": 1, "to": "2"},
+                {"from": "11", "label": 1, "to": "12"},
+                {"from": "12", "label": 1, "to": "11"},
+            ],
+        }
+        with pytest.raises(ValueError, match="not reachable"):
+            component_from_json_dict(data)
 
     def test_json_quasi_flags(self):
         c = explore_component(parse_word("2111"), 4, CRYSTAL)

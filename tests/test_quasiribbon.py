@@ -1,7 +1,10 @@
+from bisect import bisect_right
 from collections import defaultdict
 from itertools import permutations
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from hypoplactic.counting import qr_tableaux_of_shape
 from hypoplactic.quasiribbon import (
@@ -32,6 +35,17 @@ EQ44 = RecordingRibbon.from_rows([[1, 2, 9], [8], [3, 4, 6, 7, 11], [5, 10]])
 EQ43_TABLOID = QuasiRibbonTabloid(
     [(1,), (5,), (2, 3, 6), (2,), (4,), (5,), (4, 5), (7,)]
 )
+
+
+def kt_fold(w):
+    """Oracle: insert ``w`` symbol by symbol with ``kt_insert``, placing
+    each step's label at the cut where its symbol lands."""
+    t = QuasiRibbonTableau()
+    labels = []
+    for i, a in enumerate(w, start=1):
+        labels.insert(bisect_right(t.entries, a), i)
+        t = kt_insert(t, a)
+    return t, RecordingRibbon(t.shape, labels)
 
 
 def recording_ribbons(shape):
@@ -171,6 +185,18 @@ class TestHypoRsk:
         for w in words_up_to(4, 5):
             t, r = hypo_rsk(w)
             assert t.shape == r.shape
+
+    def test_rejects_non_positive(self):
+        with pytest.raises(ValueError):
+            hypo_rsk((2, 0, 1))
+
+    def test_matches_kt_insert_fold(self):
+        for w in words_up_to(4, 6):
+            assert hypo_rsk(w) == kt_fold(w)
+
+    @given(st.lists(st.integers(1, 12), max_size=60).map(tuple))
+    def test_matches_kt_insert_fold_long(self, w):
+        assert hypo_rsk(w) == kt_fold(w)
 
 
 class TestHypoRskInverse:

@@ -25,6 +25,7 @@ from hypoplactic.words import (
     weight,
     weight_leq,
     words_of_weight,
+    words_over,
 )
 
 from helpers import standard_words, words_up_to
@@ -329,3 +330,12 @@ class TestWordsOfWeight:
 
     def test_empty_weight(self):
         assert list(words_of_weight(())) == [()]
+
+
+class TestWordsOver:
+    def test_lexicographic(self):
+        assert list(words_over(2, 2)) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        assert list(words_over(3, 0)) == [()]
+
+    def test_long_words_do_not_recurse(self):
+        assert next(words_over(1, 5000)) == (1,) * 5000
