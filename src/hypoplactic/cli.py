@@ -4,7 +4,8 @@ Every subcommand is a thin adapter over the library; results are
 byte-for-byte what the corresponding library calls produce.  Exit
 codes: 0 success, 1 usage or parse error, 2 enumeration guard
 violation, 3 oracle mismatch (a formula and its brute-force oracle
-disagree, or a verify check fails).
+disagree, a verify check fails, or an internal check of the library
+fails).
 """
 
 from __future__ import annotations
@@ -394,6 +395,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_MISMATCH
 
 
 if __name__ == "__main__":

@@ -69,17 +69,26 @@ def multinomial(total: int, parts) -> int:
 
 def hypo_class_size(shape: Composition, n: int) -> int:
     """Size of any hypoplactic class whose tableau has the given shape,
-    over the alphabet 1..n: an inclusion-exclusion over coarsenings."""
+    over the alphabet 1..n.
+
+    Novelli's coarsening sum, inverted: with partial sums
+    s_0 = 0 < s_1 < ... < s_l of the shape, g_0 = 1 and
+    g_j = sum over i < j of (-1)^(j-i-1) * C(s_j, s_i) * g_i, where
+    g_j is the class size of the first j parts and the term for i
+    merges parts i+1..j into one.  O(l^2) exact integer steps.
+    """
     shape = validate_composition(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(shape) > n:
         return 0
-    total = 0
-    for beta in coarsenings(shape):
-        sign = -1 if (len(shape) - len(beta)) % 2 else 1
-        total += sign * multinomial(sum(beta), beta)
-    return total
+    sums = [0, *accumulate(shape)]
+    g = [1]
+    for j in range(1, len(sums)):
+        g.append(sum(
+            (-1) ** (j - i - 1) * comb(sums[j], sums[i]) * g[i] for i in range(j)
+        ))
+    return g[-1]
 
 
 def hypo_class_members(shape: Composition, n: int) -> list[Word]:
@@ -141,18 +150,23 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
         yield QuasiRibbonTableau()
         return
     breaks = set(accumulate(shape[:-1]))
+    # Depth-first in lexicographic order of the entries, with an explicit
+    # stack: ``candidate`` is the next value to try at position
+    # len(entries), and a row break forces a strict rise across it.
     entries: list[int] = []
-
-    def extend(idx: int, minimum: int) -> Iterator[QuasiRibbonTableau]:
-        if idx == total:
-            yield QuasiRibbonTableau(shape, tuple(entries))
+    candidate = 1
+    while True:
+        if candidate <= n:
+            entries.append(candidate)
+            if len(entries) == total:
+                yield QuasiRibbonTableau(shape, tuple(entries))
+                candidate = entries.pop() + 1
+            elif len(entries) in breaks:
+                candidate += 1
+        elif entries:
+            candidate = entries.pop() + 1
+        else:
             return
-        for a in range(minimum, n + 1):
-            entries.append(a)
-            yield from extend(idx + 1, a + 1 if idx + 1 in breaks else a)
-            entries.pop()
-
-    yield from extend(0, 1)
 
 
 def count_qrt_brute(shape: Composition, n: int) -> int:
@@ -248,22 +262,29 @@ def factorization_count(w: Word, alpha: Composition, beta: Composition, n: int) 
 
 def _splits_of(wt: tuple[int, ...], left_sum: int) -> Iterator[tuple[int, ...]]:
     """All componentwise splits of ``wt`` whose left part sums to
-    ``left_sum``."""
+    ``left_sum``, in lexicographic order."""
+    tail = list(accumulate(reversed(wt), initial=0))[::-1]
+    if not 0 <= left_sum <= tail[0]:
+        return
     acc: list[int] = []
-
-    def extend(k: int, remaining: int) -> Iterator[tuple[int, ...]]:
-        if k == len(wt):
-            if remaining == 0:
-                yield tuple(acc)
-            return
-        if remaining > sum(wt[k:]):
-            return
-        for take in range(min(wt[k], remaining) + 1):
+    remaining = left_sum
+    while True:
+        # Complete the prefix with the least takes the tail can absorb.
+        while len(acc) < len(wt):
+            take = max(0, remaining - tail[len(acc) + 1])
             acc.append(take)
-            yield from extend(k + 1, remaining - take)
-            acc.pop()
-
-    yield from extend(0, left_sum)
+            remaining -= take
+        yield tuple(acc)
+        # Raise the rightmost take that can rise; the rest is refilled.
+        while acc:
+            take = acc.pop()
+            remaining += take
+            if take < min(wt[len(acc)], remaining):
+                acc.append(take + 1)
+                remaining -= take + 1
+                break
+        else:
+            return
 
 
 def o_conjugacy_witness(u: Word, v: Word, n: int) -> Optional[Word]:

@@ -28,7 +28,7 @@ from .words import (
     Composition,
     Word,
     check_alphabet,
-    compositions,
+    composition_from_descents,
     format_word,
     has_inversion,
     is_standard,
@@ -218,13 +218,21 @@ def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:
 def plac_component_contains_qrw(w: Word, n: int) -> bool:
     """Whether the crystal component of ``w`` contains a quasi-ribbon
     word: its recording tableau must arise from the standard filling of
-    some ribbon shape with at most n rows by slide up-slide left."""
+    some ribbon shape with at most n rows by slide up-slide left.
+
+    Slide up-slide left moves the ribbon's column tops into the first
+    row, and k tops a column exactly when k-1 ends no row, so the first
+    row of the recording tableau fixes the only candidate shape.  The
+    candidate must still be checked, since its later rows need not match
+    (the component of ``2211`` has none).
+    """
     check_alphabet(w, n)
     q = rsk(w)[1]
-    for alpha in compositions(len(w)):
-        if len(alpha) <= n and slide_up_slide_left(standard_ribbon(alpha)) == q:
-            return True
-    return False
+    tops = set(q.rows[0]) if q.rows else set()
+    alpha = composition_from_descents(
+        [k - 1 for k in range(2, len(w) + 1) if k not in tops], len(w)
+    )
+    return len(alpha) <= n and slide_up_slide_left(standard_ribbon(alpha)) == q
 
 
 def is_interval_reversing(p: Word) -> Optional[Composition]:

@@ -14,7 +14,10 @@ Conventions used throughout the package:
 
 Words have a compact text form: a plain digit string when every symbol
 is at most 9 ("4323"), comma-separated integers otherwise ("10,2,11").
-The empty string is the empty word.  Compositions are always written as
+A one-symbol word in the comma form carries a trailing comma ("12,"),
+so that it does not read back as a digit string; a comma-free string
+holding a 0 is rejected rather than read as one large symbol.  The
+empty string is the empty word.  Compositions are always written as
 comma-separated integers.
 """
 
@@ -207,8 +210,15 @@ def parse_word(text: str) -> Word:
         return ()
     if all(ch in _DIGITS for ch in text):
         return tuple(int(ch) for ch in text)
+    if "," not in text and "0" in text:
+        raise ValueError(
+            f"cannot parse word {text!r}: 0 is not a symbol and a digit string "
+            f"holds one symbol per digit; use the comma form, such as "
+            f"{','.join(text)!r}, or {text + ','!r} for a single symbol"
+        )
+    body = text[:-1] if text.endswith(",") else text
     try:
-        symbols = tuple(int(p.strip()) for p in text.split(","))
+        symbols = tuple(int(p.strip()) for p in body.split(","))
     except ValueError:
         raise ValueError(f"cannot parse word {text!r}") from None
     if any(a < 1 for a in symbols):
@@ -221,7 +231,7 @@ def format_word(w: Word) -> str:
         return ""
     if all(a <= 9 for a in w):
         return "".join(str(a) for a in w)
-    return ",".join(str(a) for a in w)
+    return ",".join(str(a) for a in w) + ("," if len(w) == 1 else "")
 
 
 def parse_composition(text: str) -> Composition:

@@ -40,6 +40,12 @@ class TestInsert:
         assert code == 1
         assert "error" in err
 
+    def test_zero_digit_rejected(self, capsys):
+        for argv in (["insert", "4320"], ["rsk", "10"], ["congruent", "4320", "4320"]):
+            code, out, err = run(capsys, *argv)
+            assert code == 1 and out == ""
+            assert "comma form" in err
+
     def test_json_matches_library(self, capsys):
         from hypoplactic.quasiribbon import hypo_rsk
         from hypoplactic.words import parse_word
@@ -147,6 +153,11 @@ class TestCounts:
         code, _, err = run(capsys, "classsize", "6,6", "-n", "4", "--brute")
         assert code == 2
 
+    def test_classsize_many_parts(self, capsys):
+        code, out, _ = run(capsys, "classsize", ",".join(["1"] * 60))
+        assert code == 0
+        assert out == "1\n"
+
     def test_count_qrt(self, capsys):
         code, out, _ = run(capsys, "count-qrt", "2,2", "-n", "4", "--brute", "--format", "json")
         assert code == 0
@@ -183,3 +194,17 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+
+class TestInternalCheck:
+    def test_assertion_maps_to_exit_3(self, capsys, monkeypatch):
+        from hypoplactic import graphs
+
+        def broken(w, n, kind):
+            raise AssertionError("root not reached")
+
+        monkeypatch.setattr(graphs, "explore_component", broken)
+        code, out, err = run(capsys, "component", "1212", "-n", "4")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal check failed: root not reached\n"

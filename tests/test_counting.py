@@ -1,6 +1,9 @@
+from itertools import product
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoplactic.counting import (
     TooLargeError,
@@ -19,8 +22,13 @@ from hypoplactic.counting import (
     qr_tableaux_of_shape,
 )
 from hypoplactic.graphs import QUASI_CRYSTAL, explore_component
-from hypoplactic.quasiribbon import highest_weight_qrw, hypo_congruent, hypo_rsk
-from hypoplactic.words import compositions, parse_word, weight
+from hypoplactic.quasiribbon import (
+    QuasiRibbonTableau,
+    highest_weight_qrw,
+    hypo_congruent,
+    hypo_rsk,
+)
+from hypoplactic.words import coarsenings, compositions, parse_word, weight
 
 from helpers import words_up_to
 
@@ -49,6 +57,16 @@ class TestMultinomial:
     def test_rejects_mismatch(self):
         with pytest.raises(ValueError):
             multinomial(5, (2, 2))
+
+
+def class_size_by_coarsenings(shape, n):
+    """Oracle: inclusion-exclusion of multinomials over every coarsening."""
+    if len(shape) > n:
+        return 0
+    return sum(
+        (-1) ** (len(shape) - len(beta)) * multinomial(sum(beta), beta)
+        for beta in coarsenings(shape)
+    )
 
 
 class TestClassSize:
@@ -85,6 +103,33 @@ class TestClassSize:
             for alpha in compositions(total):
                 for n in (3, 4):
                     assert hypo_class_size(alpha, n) == hypo_class_size_brute(alpha, n)
+
+    def test_matches_coarsening_oracle(self):
+        for total in range(11):
+            for alpha in compositions(total):
+                for n in (len(alpha) - 1, len(alpha), len(alpha) + 2):
+                    if n >= 1:
+                        assert hypo_class_size(alpha, n) == class_size_by_coarsenings(alpha, n)
+
+    def test_two_parts_closed_form(self):
+        # every word of weight (a, b) except the sorted one 1^a 2^b
+        for a in range(1, 13):
+            for b in range(1, 13):
+                assert hypo_class_size((a, b), 2) == comb(a + b, a) - 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(1, 3), min_size=1, max_size=14).map(tuple))
+    def test_novelli_sum(self, alpha):
+        # the classes of all coarser shapes partition the words of weight alpha
+        n = len(alpha)
+        total = sum(hypo_class_size(beta, n) for beta in coarsenings(alpha))
+        assert total == multinomial(sum(alpha), alpha)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            hypo_class_size((2, 0), 3)
+        with pytest.raises(ValueError):
+            hypo_class_size((2, 1), 0)
 
     def test_same_shape_classes_have_same_size(self):
         # enumerate every class over four symbols and bucket by shape
@@ -136,6 +181,24 @@ class TestCountQrt:
         seen = set(qr_tableaux_of_shape((2, 1, 2), 4))
         assert len(seen) == count_qrt((2, 1, 2), 4)
         assert all(t.shape == (2, 1, 2) for t in seen)
+
+    def test_generation_order_and_completeness(self):
+        # oracle: every filling over 1..n the constructor accepts, in
+        # lexicographic order
+        for total in range(6):
+            for shape in compositions(total):
+                for n in range(4):
+                    expected = []
+                    for entries in product(range(1, n + 1), repeat=total):
+                        try:
+                            expected.append(QuasiRibbonTableau(shape, entries))
+                        except ValueError:
+                            pass
+                    assert list(qr_tableaux_of_shape(shape, n)) == expected
+
+    def test_generation_depth_does_not_grow(self):
+        # one stack frame per symbol would exceed the recursion limit
+        assert next(qr_tableaux_of_shape((5000,), 1)).shape == (5000,)
 
     def test_matches_component_size(self):
         for shape in [(2, 2), (3, 1), (1, 1, 2), (4,)]:

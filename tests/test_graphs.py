@@ -2,6 +2,8 @@ import json
 from collections import defaultdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoplactic.graphs import (
     CRYSTAL,
@@ -21,7 +23,13 @@ from hypoplactic.graphs import (
     sim_related,
 )
 from hypoplactic.operators import quasi_f
-from hypoplactic.quasiribbon import highest_weight_qrw, hypo_rsk, is_quasi_ribbon_word
+from hypoplactic.quasiribbon import (
+    highest_weight_qrw,
+    hypo_rsk,
+    is_quasi_ribbon_word,
+    slide_up_slide_left,
+    standard_ribbon,
+)
 from hypoplactic.words import compositions, parse_word, weight
 from hypoplactic.young import is_yamanouchi, rsk
 
@@ -312,6 +320,15 @@ class TestComponentCountLowerBound:
             assert quasi_count >= count_iso_plac_components_with_qrw(lam, 3)
 
 
+def contains_qrw_by_search(w, n):
+    """Oracle: try every ribbon shape with at most n rows."""
+    q = rsk(w)[1]
+    return any(
+        len(alpha) <= n and slide_up_slide_left(standard_ribbon(alpha)) == q
+        for alpha in compositions(len(w))
+    )
+
+
 class TestPlacComponentContainsQrw:
     def test_negative_example(self):
         assert not plac_component_contains_qrw(parse_word("2211"), 4)
@@ -327,6 +344,35 @@ class TestPlacComponentContainsQrw:
             component = explore_component(w, 3, CRYSTAL)
             direct = any(is_quasi_ribbon_word(v) for v in component.vertices)
             assert plac_component_contains_qrw(w, 3) == direct
+
+    def test_matches_search_exhaustive(self):
+        # the verdict depends on w only through Q, so the oracle runs once
+        # per (Q, n)
+        verdicts = {}
+        for n in (1, 2, 3):
+            for w in words_up_to(n, 8):
+                key = (rsk(w)[1].rows, n)
+                if key not in verdicts:
+                    verdicts[key] = contains_qrw_by_search(w, n)
+                assert plac_component_contains_qrw(w, n) == verdicts[key]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 6).flatmap(
+        lambda m: st.tuples(
+            st.lists(st.integers(1, m), max_size=14).map(tuple), st.integers(m, m + 2)
+        )
+    ))
+    def test_matches_search_random(self, case):
+        w, n = case
+        assert plac_component_contains_qrw(w, n) == contains_qrw_by_search(w, n)
+
+    def test_121_two_rows(self):
+        # Q = [[1, 2], [3]] has columns {1, 3} and {2}, which no ribbon has,
+        # yet the ribbon of shape (2, 1) slides up and left onto Q
+        w = parse_word("121")
+        assert rsk(w)[1].rows == ((1, 2), (3,))
+        assert plac_component_contains_qrw(w, 2)
+        assert contains_qrw_by_search(w, 2)
 
     def test_ribbon_piece_inside_2121(self):
         component = explore_component(parse_word("2121"), 4, CRYSTAL)

@@ -302,6 +302,25 @@ class TestTextFormat:
         for w in words_up_to(3, 4):
             assert parse_word(format_word(w)) == w
 
+    def test_large_single_symbol_roundtrip(self):
+        assert format_word((12,)) == "12,"
+        assert parse_word("12,") == (12,)
+        assert parse_word("10,2,11,") == (10, 2, 11)
+        for w in [(12,), (10, 2, 11), (10,), (9, 10)]:
+            assert parse_word(format_word(w)) == w
+
+    def test_rejects_zero_digit(self):
+        # a digit string with a 0 would otherwise read as one large symbol
+        with pytest.raises(ValueError, match="4,3,2,0"):
+            parse_word("4320")
+        with pytest.raises(ValueError, match="comma form"):
+            parse_word("10")
+
+    def test_rejects_lone_comma(self):
+        for text in [",", "1,,", "12,,"]:
+            with pytest.raises(ValueError):
+                parse_word(text)
+
     def test_rejects_garbage(self):
         with pytest.raises(ValueError):
             parse_word("1,x")
