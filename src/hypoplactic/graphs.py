@@ -22,7 +22,13 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .operators import kashiwara_e, kashiwara_f, quasi_e, quasi_f
+from .operators import (
+    kashiwara_e,
+    kashiwara_lowerings,
+    quasi_e,
+    quasi_f,
+    quasi_lowerings,
+)
 from .quasiribbon import hypo_rsk, standard_ribbon, slide_up_slide_left
 from .words import (
     Composition,
@@ -41,10 +47,8 @@ from .young import rsk
 CRYSTAL = "crystal"
 QUASI_CRYSTAL = "quasi-crystal"
 
-_OPERATORS = {
-    CRYSTAL: (kashiwara_e, kashiwara_f),
-    QUASI_CRYSTAL: (quasi_e, quasi_f),
-}
+_RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
+_LOWERINGS = {CRYSTAL: kashiwara_lowerings, QUASI_CRYSTAL: quasi_lowerings}
 
 Edge = tuple[Word, int, Word]
 
@@ -68,30 +72,33 @@ class Component:
         self.kind = _normalize_kind(kind)
         self.n = n
         self.root = root
-        self.out = {u: dict(sorted(ts.items())) for u, ts in out.items()}
-        self.vertices = frozenset(self.out)
-        if root not in self.vertices:
+        if root not in out:
             raise ValueError("root is not a vertex of the component")
-        labelled_targets = [(i, v) for ts in self.out.values() for i, v in ts.items()]
-        if not {v for _, v in labelled_targets} <= self.vertices:
-            raise ValueError("edge target outside the component")
-        if len(labelled_targets) != len(set(labelled_targets)):
-            raise ValueError("some vertex has two in-edges with one label")
-        if any(v == root for _, v in labelled_targets):
-            raise ValueError("root must have no in-edges")
-        # The canonical numbering doubles as the reachability check.
+        # One breadth-first walk numbers the component canonically and
+        # checks every edge it follows; once it has reached every
+        # vertex, it has followed every edge.
+        sorted_out: dict[Word, dict[int, Word]] = {}
         order = [root]
         index = {root: 0}
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in self.out[u].values():
-                if v not in index:
-                    index[v] = len(order)
+        in_edges: set[tuple[int, int]] = set()
+        for u in order:
+            targets = sorted_out[u] = dict(sorted(out[u].items()))
+            for i, v in targets.items():
+                j = index.get(v)
+                if j is None:
+                    if v not in out:
+                        raise ValueError("edge target outside the component")
+                    j = index[v] = len(order)
                     order.append(v)
-                    queue.append(v)
-        if len(order) != len(self.vertices):
+                elif j == 0:
+                    raise ValueError("root must have no in-edges")
+                elif (i, j) in in_edges:
+                    raise ValueError("some vertex has two in-edges with one label")
+                in_edges.add((i, j))
+        if len(order) != len(out):
             raise ValueError("component is not reachable from its root")
+        self.out = sorted_out
+        self.vertices = frozenset(order)
         self._order = order
         self._index = index
 
@@ -130,22 +137,21 @@ class Component:
 
 def explore_component(w: Word, n: int, kind: str) -> Component:
     """The component of ``w`` with labels 1..n-1: raise ``w`` to its
-    root, then search breadth-first from the root with the lowering
-    operators of the chosen kind only, in increasing label order."""
+    root, then search breadth-first from the root along the lowering
+    edges of the chosen kind, in increasing label order.  Each vertex's
+    out-edges come from one lowering table of the kind."""
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
-    _, lower_op = _OPERATORS[kind]
+    lowerings = _LOWERINGS[kind]
     out: dict[Word, dict[int, Word]] = {root: {}}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for i in range(1, n):
-            v = lower_op(u, i)
-            if v is not None:
-                out[u][i] = v
-                if v not in out:
-                    out[v] = {}
-                    queue.append(v)
+        out[u] = targets = lowerings(u, n)
+        for v in targets.values():
+            if v not in out:
+                out[v] = {}
+                queue.append(v)
     if w not in out:
         raise AssertionError(
             f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
@@ -157,7 +163,7 @@ def highest_weight_word(w: Word, n: int, kind: str) -> Word:
     """Greedily apply raising operators until none is defined."""
     kind = _normalize_kind(kind)
     check_alphabet(w, n)
-    raise_op, _ = _OPERATORS[kind]
+    raise_op = _RAISE[kind]
     current = w
     raised = True
     while raised:
@@ -205,13 +211,15 @@ def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:
     component = explore_component(w, n, CRYSTAL)
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
-    for u, i, v in component.edges:
-        mirrored = quasi_f(u, i)
-        if mirrored is not None:
-            assert mirrored == v, "quasi operator disagrees with its restriction"
-            quasi_edges.append((u, i, v))
-        else:
-            crystal_only.append((u, i, v))
+    for u in sorted(component.out):
+        quasi = quasi_lowerings(u, n)
+        for i, v in component.out[u].items():
+            mirrored = quasi.get(i)
+            if mirrored is not None:
+                assert mirrored == v, "quasi operator disagrees with its restriction"
+                quasi_edges.append((u, i, v))
+            else:
+                crystal_only.append((u, i, v))
     return quasi_edges, crystal_only
 
 

@@ -13,6 +13,10 @@ the leftmost i+1, respectively the rightmost i.  Wherever a quasi
 operator is defined it agrees with its classical counterpart.
 
 Partiality is a value: undefined applications return None.
+
+The lowering tables ``kashiwara_lowerings`` and ``quasi_lowerings``
+give a word's images under every lowering operator at once, from one
+scan of the word; the per-label operators remain the definitions.
 """
 
 from __future__ import annotations
@@ -119,3 +123,50 @@ def quasi_counts(u: Word, i: int) -> tuple[int, int]:
         sum(1 for a in u if a == i + 1),
         sum(1 for a in u if a == i),
     )
+
+
+def kashiwara_lowerings(u: Word, n: int) -> dict[int, Word]:
+    """``{i: kashiwara_f(u, i)}`` for every label i in 1..n-1 where the
+    operator is defined, by increasing label, from one scan of ``u``.
+
+    Each symbol a is a "+" for label a and a "-" for label a-1, so one
+    scan brackets every label: per label, a count of the "-" still
+    open and the position of the rightmost surviving "+".
+    """
+    size = max(n, max(u, default=0)) + 1
+    open_minus = [0] * size
+    plus = [-1] * size
+    for pos, a in enumerate(u):
+        if open_minus[a]:
+            open_minus[a] -= 1
+        else:
+            plus[a] = pos
+        open_minus[a - 1] += 1  # slot 0 takes the unused "-" of each 1
+    return {
+        i: u[:pos] + (i + 1,) + u[pos + 1:]
+        for i, pos in enumerate(plus[:n])
+        if pos >= 0
+    }
+
+
+def quasi_lowerings(u: Word, n: int) -> dict[int, Word]:
+    """``{i: quasi_f(u, i)}`` for every label i in 1..n-1 where the
+    operator is defined, by increasing label, from one scan of ``u``.
+
+    Label i lowers exactly when i occurs and no i+1 stands left of the
+    last i, so the first and last position of each symbol decide every
+    label.
+    """
+    size = max(n, max(u, default=0)) + 1
+    first = [len(u)] * size
+    last = [-1] * size
+    for pos, a in enumerate(u):
+        if last[a] < 0:
+            first[a] = pos
+        last[a] = pos
+    lowered = {}
+    for i in range(1, n):
+        pos = last[i]
+        if pos >= 0 and first[i + 1] > pos:
+            lowered[i] = u[:pos] + (i + 1,) + u[pos + 1:]
+    return lowered

@@ -18,7 +18,9 @@ A one-symbol word in the comma form carries a trailing comma ("12,"),
 so that it does not read back as a digit string; a comma-free string
 holding a 0 is rejected rather than read as one large symbol.  The
 empty string is the empty word.  Compositions are always written as
-comma-separated integers.
+comma-separated integers.  Every symbol or part is written in the ASCII
+digits 0-9 alone, with optional spaces around it ("1, 2"): signs,
+underscores and other scripts' digits are rejected.
 """
 
 from __future__ import annotations
@@ -203,6 +205,18 @@ def schuetzenberger_involution(w: Word, n: int) -> Word:
 _DIGITS = frozenset("123456789")
 
 
+def _ascii_integers(text: str) -> tuple[int, ...] | None:
+    """The comma-separated integers in ``text``, or None unless every
+    part is ASCII digits once its surrounding spaces are stripped."""
+    parts = [p.strip() for p in text.split(",")]
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        return None
+    try:
+        return tuple(int(p) for p in parts)
+    except ValueError:  # a part longer than int() converts
+        return None
+
+
 def parse_word(text: str) -> Word:
     """Parse the shared text form of a word (see module docstring)."""
     text = text.strip()
@@ -217,10 +231,9 @@ def parse_word(text: str) -> Word:
             f"{','.join(text)!r}, or {text + ','!r} for a single symbol"
         )
     body = text[:-1] if text.endswith(",") else text
-    try:
-        symbols = tuple(int(p.strip()) for p in body.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse word {text!r}") from None
+    symbols = _ascii_integers(body)
+    if symbols is None:
+        raise ValueError(f"cannot parse word {text!r}")
     if any(a < 1 for a in symbols):
         raise ValueError(f"word symbols must be positive: {text!r}")
     return symbols
@@ -239,10 +252,9 @@ def parse_composition(text: str) -> Composition:
     text = text.strip().strip("()").strip()
     if not text:
         return ()
-    try:
-        parts = tuple(int(p.strip()) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse composition {text!r}") from None
+    parts = _ascii_integers(text)
+    if parts is None:
+        raise ValueError(f"cannot parse composition {text!r}")
     if any(p < 1 for p in parts):
         raise ValueError(f"composition parts must be positive: {text!r}")
     return parts

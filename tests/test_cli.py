@@ -46,6 +46,12 @@ class TestInsert:
             assert code == 1 and out == ""
             assert "comma form" in err
 
+    def test_non_ascii_digit_symbols_rejected(self, capsys):
+        for text in ["+3", "\u0663", "3_1"]:
+            code, out, err = run(capsys, "insert", text)
+            assert code == 1 and out == ""
+            assert "cannot parse word" in err
+
     def test_json_matches_library(self, capsys):
         from hypoplactic.quasiribbon import hypo_rsk
         from hypoplactic.words import parse_word
@@ -157,6 +163,12 @@ class TestCounts:
         code, out, _ = run(capsys, "classsize", ",".join(["1"] * 60))
         assert code == 0
         assert out == "1\n"
+
+    def test_classsize_non_ascii_digit_parts_rejected(self, capsys):
+        for text in ["1_0", "+2,1"]:
+            code, out, err = run(capsys, "classsize", text)
+            assert code == 1 and out == ""
+            assert "cannot parse composition" in err
 
     def test_count_qrt(self, capsys):
         code, out, _ = run(capsys, "count-qrt", "2,2", "-n", "4", "--brute", "--format", "json")

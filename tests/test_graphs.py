@@ -477,6 +477,41 @@ class TestSerialization:
         with pytest.raises(ValueError, match="not reachable"):
             component_from_json_dict(data)
 
+    @staticmethod
+    def _json(root, vertices, edges):
+        return {
+            "kind": QUASI_CRYSTAL,
+            "n": 3,
+            "root": root,
+            "vertices": vertices,
+            "edges": [{"from": u, "label": i, "to": v} for u, i, v in edges],
+        }
+
+    def test_json_rejects_root_outside_vertices(self):
+        data = self._json("3", ["1", "2"], [("1", 1, "2")])
+        with pytest.raises(ValueError, match="root is not a vertex"):
+            component_from_json_dict(data)
+
+    def test_json_rejects_edge_target_outside_vertices(self):
+        data = self._json("1", ["1"], [("1", 1, "2")])
+        with pytest.raises(ValueError, match="edge target outside"):
+            component_from_json_dict(data)
+
+    def test_json_rejects_two_in_edges_with_one_label(self):
+        # 23 is the 1-target of both 12 and 13
+        data = self._json(
+            "11",
+            ["11", "12", "13", "23"],
+            [("11", 1, "12"), ("11", 2, "13"), ("12", 1, "23"), ("13", 1, "23")],
+        )
+        with pytest.raises(ValueError, match="two in-edges with one label"):
+            component_from_json_dict(data)
+
+    def test_json_rejects_in_edge_to_root(self):
+        data = self._json("1", ["1", "2"], [("1", 1, "2"), ("2", 2, "1")])
+        with pytest.raises(ValueError, match="root must have no in-edges"):
+            component_from_json_dict(data)
+
     def test_json_quasi_flags(self):
         c = explore_component(parse_word("2111"), 4, CRYSTAL)
         data = component_to_json_dict(c)

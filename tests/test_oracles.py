@@ -1,0 +1,167 @@
+"""Fast paths against their oracles.
+
+The lowering tables against the per-label operators they tabulate;
+component exploration against a breadth-first search that calls one
+per-label lowering operator per label and vertex; and component sizes
+against the counts that the insertion correspondences predict.
+"""
+
+from collections import deque
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hypoplactic.counting import count_qrt
+from hypoplactic.graphs import (
+    CRYSTAL,
+    QUASI_CRYSTAL,
+    explore_component,
+    highest_weight_word,
+)
+from hypoplactic.operators import (
+    kashiwara_f,
+    kashiwara_lowerings,
+    quasi_f,
+    quasi_lowerings,
+)
+from hypoplactic.quasiribbon import hypo_rsk
+from hypoplactic.words import weight
+from hypoplactic.young import rsk
+
+from helpers import words_up_to
+
+TABLES = ((kashiwara_lowerings, kashiwara_f), (quasi_lowerings, quasi_f))
+PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
+
+
+def lowerings_by_label(lower_op, u, n):
+    """Oracle: one per-label operator call for each label 1..n-1."""
+    table = {}
+    for i in range(1, n):
+        v = lower_op(u, i)
+        if v is not None:
+            table[i] = v
+    return table
+
+
+def explore_by_label(w, n, kind):
+    """Oracle: breadth-first search from the root calling the per-label
+    lowering operator for every label of every vertex.  Returns the
+    out-edges, the visit order and the signature built from them."""
+    lower_op = PER_LABEL[kind]
+    root = highest_weight_word(w, n, kind)
+    out = {root: {}}
+    order = [root]
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for i in range(1, n):
+            v = lower_op(u, i)
+            if v is not None:
+                out[u][i] = v
+                if v not in out:
+                    out[v] = {}
+                    order.append(v)
+                    queue.append(v)
+    index = {v: k for k, v in enumerate(order)}
+    signature = tuple(
+        (weight(u), tuple((i, index[v]) for i, v in out[u].items())) for u in order
+    )
+    return out, order, signature
+
+
+def hook_content_count(shape, n):
+    """Semistandard Young tableaux of a partition shape with entries in
+    1..n: the product over cells of (n + content) / hook."""
+    conjugate = [sum(1 for part in shape if part > c) for c in range(shape[0])] if shape else []
+    count = Fraction(1)
+    for r, part in enumerate(shape):
+        for c in range(part):
+            hook = (part - c - 1) + (conjugate[c] - r - 1) + 1
+            count *= Fraction(n + c - r, hook)
+    assert count.denominator == 1
+    return int(count)
+
+
+def assert_component_matches_oracle(w, n, kind):
+    c = explore_component(w, n, kind)
+    out, order, signature = explore_by_label(w, n, kind)
+    assert c.out == out
+    assert list(c.out) == list(out)
+    assert c.canonical_order() == order
+    assert c.signature() == signature
+    return c
+
+
+def tables_match(u, n):
+    for table, lower_op in TABLES:
+        lowered = table(u, n)
+        assert lowered == lowerings_by_label(lower_op, u, n)
+        assert list(lowered) == sorted(lowered)
+
+
+class TestLoweringTables:
+    def test_exhaustive(self):
+        for n in range(1, 6):
+            for u in words_up_to(n, 6):
+                tables_match(u, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(1, n), max_size=12).map(tuple), st.just(n))
+    ))
+    def test_random(self, case):
+        tables_match(*case)
+
+    def test_symbols_above_the_bound(self):
+        # labels stop at n-1 even when the word mentions larger symbols
+        for u in words_up_to(5, 4):
+            for n in range(1, 5):
+                tables_match(u, n)
+
+
+class TestExploreAgainstOracle:
+    def test_exhaustive(self):
+        for n in range(1, 5):
+            for w in words_up_to(n, 5):
+                for kind in (CRYSTAL, QUASI_CRYSTAL):
+                    assert_component_matches_oracle(w, n, kind)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(1, n), max_size=8).map(tuple), st.just(n))
+    ))
+    def test_random(self, case):
+        w, n = case
+        for kind in (CRYSTAL, QUASI_CRYSTAL):
+            assert_component_matches_oracle(w, n, kind)
+
+
+class TestComponentSizes:
+    def test_quasi_size_is_qrt_count(self):
+        for n in range(1, 5):
+            for w in words_up_to(n, 5):
+                c = explore_component(w, n, QUASI_CRYSTAL)
+                assert len(c) == count_qrt(hypo_rsk(w)[0].shape, n)
+
+    def test_crystal_size_is_hook_content(self):
+        for n in range(1, 5):
+            for w in words_up_to(n, 5):
+                c = explore_component(w, n, CRYSTAL)
+                assert len(c) == hook_content_count(rsk(w)[0].shape, n)
+
+    def test_hook_content_small_cases(self):
+        assert hook_content_count((), 3) == 1
+        assert hook_content_count((1,), 4) == 4
+        assert hook_content_count((2, 1), 3) == 8
+        assert hook_content_count((1, 1, 1, 1), 3) == 0
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(2, 7).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(1, n), max_size=8).map(tuple), st.just(n))
+    ))
+    def test_random(self, case):
+        w, n = case
+        assert len(explore_component(w, n, QUASI_CRYSTAL)) == count_qrt(hypo_rsk(w)[0].shape, n)
+        assert len(explore_component(w, n, CRYSTAL)) == hook_content_count(rsk(w)[0].shape, n)

@@ -333,6 +333,21 @@ class TestTextFormat:
         assert parse_composition("(2,1,1,2)") == (2, 1, 1, 2)
         assert parse_composition("3") == (3,)
         assert parse_composition("") == ()
+        assert parse_composition("2, 1") == (2, 1)
+
+    def test_symbols_are_ascii_digits_only(self):
+        assert parse_word("1, 2") == (1, 2)
+        assert parse_word(" 10 , 2 ,") == (10, 2)
+        # int() alone reads the first three as 3, 3 and 31
+        for text in ["+3", "\u0663", "3_1", "1,+2", "1,\u0662", "-1,2", "1" * 5000 + ","]:
+            with pytest.raises(ValueError, match="cannot parse word"):
+                parse_word(text)
+
+    def test_parts_are_ascii_digits_only(self):
+        # int() alone reads the first three as (10,), (2, 1) and (2,)
+        for text in ["1_0", "+2,1", "\u0662", "2,-1"]:
+            with pytest.raises(ValueError, match="cannot parse composition"):
+                parse_composition(text)
 
 
 class TestWordsOfWeight:
