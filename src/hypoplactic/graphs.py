@@ -22,14 +22,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Iterable, Optional
 
-from .operators import (
-    kashiwara_e,
-    kashiwara_lowerings,
-    quasi_e,
-    quasi_f,
-    quasi_lowerings,
+from .operators import kashiwara_lowerings, quasi_f, quasi_lowerings
+from .quasiribbon import (
+    _sort_positions,
+    hypo_congruent,
+    hypo_rsk,
+    slide_up_slide_left,
+    standard_ribbon,
 )
-from .quasiribbon import hypo_rsk, standard_ribbon, slide_up_slide_left
 from .words import (
     Composition,
     Word,
@@ -47,7 +47,6 @@ from .young import rsk
 CRYSTAL = "crystal"
 QUASI_CRYSTAL = "quasi-crystal"
 
-_RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
 _LOWERINGS = {CRYSTAL: kashiwara_lowerings, QUASI_CRYSTAL: quasi_lowerings}
 
 Edge = tuple[Word, int, Word]
@@ -136,10 +135,11 @@ class Component:
 
 
 def explore_component(w: Word, n: int, kind: str) -> Component:
-    """The component of ``w`` with labels 1..n-1: raise ``w`` to its
-    root, then search breadth-first from the root along the lowering
-    edges of the chosen kind, in increasing label order.  Each vertex's
-    out-edges come from one lowering table of the kind."""
+    """The component of ``w`` with labels 1..n-1: find the root with
+    ``highest_weight_word``, then search breadth-first from the root
+    along the lowering edges of the chosen kind, in increasing label
+    order.  Each vertex's out-edges come from one lowering table of the
+    kind.  Reaching ``w`` checks the root."""
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
     lowerings = _LOWERINGS[kind]
@@ -160,21 +160,42 @@ def explore_component(w: Word, n: int, kind: str) -> Component:
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
-    """Greedily apply raising operators until none is defined."""
+    """The root of the component of ``w``.
+
+    Quasi-crystal: the component is the set of words sharing the
+    recording ribbon R of ``w``, and its root is the word whose tableau
+    has only j in row j; that is ``hypo_rsk_inverse`` of this tableau
+    and R, read off the one sort behind ``hypo_rsk``.  Crystal: each
+    label in turn is raised to the top of its string, and the labels are
+    swept until a sweep raises nothing; the root is unique, so the order
+    of raising does not matter.
+    """
     kind = _normalize_kind(kind)
     check_alphabet(w, n)
-    raise_op = _RAISE[kind]
-    current = w
+    if kind == QUASI_CRYSTAL:
+        order, shape = _sort_positions(w)
+        rows = (j for j, part in enumerate(shape, start=1) for _ in range(part))
+        root = [0] * len(w)
+        for h, j in zip(order, rows):
+            root[h] = j
+        return tuple(root)
+    current = list(w)
     raised = True
     while raised:
         raised = False
         for i in range(1, n):
-            nxt = raise_op(current, i)
-            if nxt is not None:
-                current = nxt
+            # One bracket scan of label i: e_i applied epsilon times turns
+            # every surviving "-" (an unmatched i+1) into i.
+            minus = []
+            for pos, a in enumerate(current):
+                if a == i + 1:
+                    minus.append(pos)
+                elif a == i and minus:
+                    minus.pop()
+            for pos in minus:
+                current[pos] = i
                 raised = True
-                break
-    return current
+    return tuple(current)
 
 
 def is_highest_weight_hypo(w: Word) -> bool:
@@ -191,10 +212,13 @@ def is_highest_weight_hypo(w: Word) -> bool:
 
 def sim_related(u: Word, v: Word, n: int) -> bool:
     """Whether ``u`` and ``v`` sit at the same position of isomorphic
-    quasi-crystal components."""
-    cu = explore_component(u, n, QUASI_CRYSTAL)
-    cv = explore_component(v, n, QUASI_CRYSTAL)
-    return cu.signature() == cv.signature() and cu.index_of(u) == cv.index_of(v)
+    quasi-crystal components.  By the central theorem of Cain and
+    Malheiro this relation is the hypoplactic congruence, so it is
+    decided as such; exploring both components is the definition, kept
+    in the tests and in ``verify``."""
+    check_alphabet(u, n)
+    check_alphabet(v, n)
+    return hypo_congruent(u, v)
 
 
 def same_recording_ribbon(u: Word, v: Word, n: int) -> bool:

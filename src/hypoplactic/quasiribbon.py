@@ -339,6 +339,8 @@ def _sort_positions(w: Word) -> tuple[list[int], Composition]:
     ``[h + 1 for h in order]`` is std(w)^-1, and the quasi-ribbon shape
     of ``w``: the descent composition of std(w)^-1."""
     order = sorted(range(len(w)), key=w.__getitem__)
+    if order and w[order[0]] < 1:
+        raise ValueError("symbols must be positive")
     shape: list[int] = []
     prev = len(w)
     for h in order:
@@ -357,8 +359,6 @@ def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     determines the word.
     """
     order, shape = _sort_positions(w)
-    if order and w[order[0]] < 1:
-        raise ValueError("symbols must be positive")
     return (
         QuasiRibbonTableau(shape, [w[h] for h in order]),
         RecordingRibbon(shape, [h + 1 for h in order]),

@@ -67,7 +67,7 @@ def standardize(w: Word) -> Word:
     symbols; replacing each position by its rank gives a permutation
     that preserves this order.  Standard words are fixed points.
     """
-    order = sorted(range(len(w)), key=lambda h: (w[h], h))
+    order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties keep position order
     out = [0] * len(w)
     for rank, h in enumerate(order, start=1):
         out[h] = rank

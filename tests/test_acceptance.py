@@ -59,7 +59,7 @@ from hypoplactic.young import (
     rsk,
 )
 
-from helpers import words_up_to
+from helpers import sim_key, words_up_to
 
 
 def report(number, name, ok):
@@ -128,17 +128,14 @@ def test_05_central_theorem():
         for w in words_over(3, length):
             by_weight[weight(w)].append(w)
         for group in by_weight.values():
-            sim_keys = {}
-            for w in group:
-                component = explore_component(w, 3, QUASI_CRYSTAL)
-                sim_keys[w] = (component.signature(), component.index_of(w))
+            sim_keys = {w: sim_key(w, 3) for w in group}
             for u in group:
                 for v in group:
                     ok &= (sim_keys[u] == sim_keys[v]) == hypo_congruent(u, v)
-            # spot-check the pairwise operation itself
+            # spot-check the pairwise operation against the definition
             for _ in range(3):
                 u, v = rng.choice(group), rng.choice(group)
-                ok &= sim_related(u, v, 3) == hypo_congruent(u, v)
+                ok &= sim_related(u, v, 3) == (sim_keys[u] == sim_keys[v])
     report(5, "same position in isomorphic components iff congruent, A_3 len <= 5", ok)
 
 
@@ -191,6 +188,7 @@ def test_08_golden_values():
 
     ok &= highest_weight_qrw((3, 1, 5, 2)) == parse_word("11321333434")
     ok &= quasi_f(parse_word("3113"), 1) == parse_word("3123")
+    ok &= sim_key(parse_word("1324"), 4) == sim_key(parse_word("3142"), 4)
     ok &= sim_related(parse_word("1324"), parse_word("3142"), 4)
     ok &= plactic_congruent(parse_word("2213"), parse_word("2231"))
     report(8, "golden values from the worked examples", ok)

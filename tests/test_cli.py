@@ -106,6 +106,17 @@ class TestComponent:
         code, _, err = run(capsys, "component", "2111", "-n", "4", "--overlay")
         assert code == 1
 
+    def test_overlay_refused_before_exploring(self, capsys, monkeypatch):
+        from hypoplactic import graphs
+
+        def explore(*args):
+            raise AssertionError("explored before refusing --overlay")
+
+        monkeypatch.setattr(graphs, "explore_component", explore)
+        code, _, err = run(capsys, "component", "2111", "-n", "4", "--overlay")
+        assert code == 1
+        assert "--overlay only applies to --kind crystal" in err
+
     def test_out_of_range_symbol(self, capsys):
         code, _, err = run(capsys, "component", "45", "-n", "3")
         assert code == 1

@@ -33,7 +33,7 @@ from hypoplactic.quasiribbon import (
 from hypoplactic.words import compositions, parse_word, weight
 from hypoplactic.young import is_yamanouchi, rsk
 
-from helpers import standard_words, words_up_to
+from helpers import sim_key, standard_words, words_up_to
 
 
 def quasi_components(n, length):
@@ -107,6 +107,10 @@ class TestHighestWeight:
             top = highest_weight_word(w, 3, CRYSTAL)
             assert is_yamanouchi(top)
 
+    def test_quasi_root_rejects_non_positive_symbols(self):
+        with pytest.raises(ValueError, match="symbols must be positive"):
+            highest_weight_word((0, 1), 2, QUASI_CRYSTAL)
+
     def test_roots_match_predicate(self):
         for c in quasi_components(3, 4):
             assert is_highest_weight_hypo(c.root)
@@ -156,21 +160,24 @@ class TestSignatures:
 
 class TestSimRelated:
     def test_worked_pair(self):
+        assert sim_key((1, 3, 2, 4), 4) == sim_key((3, 1, 4, 2), 4)
         assert sim_related((1, 3, 2, 4), (3, 1, 4, 2), 4)
 
     def test_reflexive(self):
         assert sim_related((2, 1, 2), (2, 1, 2), 3)
 
     def test_different_components(self):
+        assert sim_key((1, 2), 2) != sim_key((2, 1), 2)
         assert not sim_related((1, 2), (2, 1), 2)
 
     def test_matches_congruence_small(self):
         from hypoplactic.quasiribbon import hypo_congruent
 
         words3 = [w for w in words_up_to(3, 4) if len(w) == 4]
-        for u in words3[::3]:
-            for v in words3[::3]:
-                assert sim_related(u, v, 3) == hypo_congruent(u, v)
+        keys = {w: sim_key(w, 3) for w in words3[::3]}
+        for u in keys:
+            for v in keys:
+                assert (keys[u] == keys[v]) == hypo_congruent(u, v)
 
 
 class TestSameRecordingRibbon:

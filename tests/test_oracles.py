@@ -2,26 +2,34 @@
 
 The lowering tables against the per-label operators they tabulate;
 component exploration against a breadth-first search that calls one
-per-label lowering operator per label and vertex; and component sizes
-against the counts that the insertion correspondences predict.
+per-label lowering operator per label and vertex; component sizes
+against the counts that the insertion correspondences predict; roots
+against greedy raising one label at a time; and ~, decided by the
+theorem, against its definition by explored components.
 """
 
 from collections import deque
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoplactic.cli import main
 from hypoplactic.counting import count_qrt
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
     explore_component,
     highest_weight_word,
+    is_highest_weight_hypo,
+    sim_related,
 )
 from hypoplactic.operators import (
+    kashiwara_e,
     kashiwara_f,
     kashiwara_lowerings,
+    quasi_e,
     quasi_f,
     quasi_lowerings,
 )
@@ -29,10 +37,46 @@ from hypoplactic.quasiribbon import hypo_rsk
 from hypoplactic.words import weight
 from hypoplactic.young import rsk
 
-from helpers import words_up_to
+from helpers import sim_key, words_up_to
 
 TABLES = ((kashiwara_lowerings, kashiwara_f), (quasi_lowerings, quasi_f))
 PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
+RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
+
+
+def words_with_bound(max_n, max_len):
+    """(word, n) with n in 1..max_n and the word over 1..n."""
+    return st.integers(1, max_n).flatmap(
+        lambda n: st.tuples(st.lists(st.integers(1, n), max_size=max_len).map(tuple), st.just(n))
+    )
+
+
+def word_pairs(max_n, max_len):
+    """(u, v, n) where v is a free word, a rearrangement of u, or the
+    reading of u's quasi-ribbon tableau, so congruent pairs are common."""
+    def pair_for(case):
+        u, n = case
+        free = st.lists(st.integers(1, n), max_size=max_len).map(tuple)
+        v = st.one_of(free, st.permutations(u).map(tuple), st.just(hypo_rsk(u)[0].reading()))
+        return st.tuples(st.just(u), v, st.just(n))
+    return words_with_bound(max_n, max_len).flatmap(pair_for)
+
+
+def greedy_root(w, n, kind):
+    """Oracle: apply the first raising operator that acts, from label 1
+    again after every step, until none acts."""
+    raise_op = RAISE[kind]
+    current = w
+    raised = True
+    while raised:
+        raised = False
+        for i in range(1, n):
+            nxt = raise_op(current, i)
+            if nxt is not None:
+                current = nxt
+                raised = True
+                break
+    return current
 
 
 def lowerings_by_label(lower_op, u, n):
@@ -50,7 +94,7 @@ def explore_by_label(w, n, kind):
     lowering operator for every label of every vertex.  Returns the
     out-edges, the visit order and the signature built from them."""
     lower_op = PER_LABEL[kind]
-    root = highest_weight_word(w, n, kind)
+    root = greedy_root(w, n, kind)
     out = {root: {}}
     order = [root]
     queue = deque([root])
@@ -108,9 +152,7 @@ class TestLoweringTables:
                 tables_match(u, n)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.integers(1, 8).flatmap(
-        lambda n: st.tuples(st.lists(st.integers(1, n), max_size=12).map(tuple), st.just(n))
-    ))
+    @given(words_with_bound(8, 12))
     def test_random(self, case):
         tables_match(*case)
 
@@ -165,3 +207,56 @@ class TestComponentSizes:
         w, n = case
         assert len(explore_component(w, n, QUASI_CRYSTAL)) == count_qrt(hypo_rsk(w)[0].shape, n)
         assert len(explore_component(w, n, CRYSTAL)) == hook_content_count(rsk(w)[0].shape, n)
+
+
+class TestRootsAgainstGreedyRaising:
+    def test_quasi_exhaustive(self):
+        for n in range(1, 5):
+            for w in words_up_to(n, 5):
+                root = highest_weight_word(w, n, QUASI_CRYSTAL)
+                assert root == greedy_root(w, n, QUASI_CRYSTAL)
+                assert is_highest_weight_hypo(root)
+
+    def test_crystal_exhaustive(self):
+        for n in range(1, 5):
+            for w in words_up_to(n, 5):
+                assert highest_weight_word(w, n, CRYSTAL) == greedy_root(w, n, CRYSTAL)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words_with_bound(8, 12))
+    def test_random(self, case):
+        w, n = case
+        root = highest_weight_word(w, n, QUASI_CRYSTAL)
+        assert root == greedy_root(w, n, QUASI_CRYSTAL)
+        assert is_highest_weight_hypo(root)
+        assert highest_weight_word(w, n, CRYSTAL) == greedy_root(w, n, CRYSTAL)
+
+
+class TestSimRelatedAgainstDefinition:
+    def test_exhaustive(self):
+        for n in range(1, 4):
+            keys = {w: sim_key(w, n) for w in words_up_to(n, 4)}
+            for u in keys:
+                for v in keys:
+                    assert sim_related(u, v, n) == (keys[u] == keys[v])
+
+    @settings(max_examples=200, deadline=None)
+    @given(word_pairs(5, 6))
+    def test_random(self, case):
+        u, v, n = case
+        assert sim_related(u, v, n) == (sim_key(u, n) == sim_key(v, n))
+
+    def test_symbol_above_the_bound(self):
+        with pytest.raises(ValueError, match="word '13' has a symbol above 2"):
+            sim_related((1, 3), (2, 1), 2)
+        with pytest.raises(ValueError, match="word '3' has a symbol above 2"):
+            sim_related((1, 2), (3,), 2)
+        # u is checked first
+        with pytest.raises(ValueError, match="word '4' has a symbol above 2"):
+            sim_related((4,), (3,), 2)
+        with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+            sim_related((), (), 0)
+
+    def test_cli_symbol_above_the_bound(self, capsys):
+        assert main(["congruent", "13", "21", "-n", "2", "--relation", "sim"]) == 1
+        assert "has a symbol above 2" in capsys.readouterr().err

@@ -94,6 +94,14 @@ class TestStandardize:
         w = (2, 1, 2, 1)
         assert standardize(w) == (3, 1, 4, 2)
 
+    def test_matches_rank_by_symbol_then_position(self):
+        for w in words_up_to(3, 6):
+            order = sorted(range(len(w)), key=lambda h: (w[h], h))
+            ranks = [0] * len(w)
+            for rank, h in enumerate(order, start=1):
+                ranks[h] = rank
+            assert standardize(w) == tuple(ranks)
+
 
 class TestStandardWords:
     def test_is_standard(self):
