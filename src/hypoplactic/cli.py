@@ -33,78 +33,65 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _global_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("-n", type=int, default=None, help="alphabet bound")
-    parser.add_argument(
-        "--format",
-        choices=["text", "json", "dot"],
-        default="text",
-        help="output format (dot only for component)",
-    )
-    parser.add_argument("--brute", action="store_true", help="also run the brute-force oracle")
-    parser.add_argument("--overlay", action="store_true", help="mark crystal-only edges")
-
-
 def _build_parser() -> _Parser:
     parser = _Parser(prog="hypoplactic", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("insert", help="insert a word into a tableau pair")
+    def add(name, help, func, *, n=False, formats=("text", "json"), brute=False, **defaults):
+        # Each subcommand declares only the flags its handler reads.
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func, **defaults)
+        if n:
+            p.add_argument("-n", type=int, default=None, help="alphabet bound")
+        if formats:
+            p.add_argument("--format", choices=formats, default="text", help="output format")
+        if brute:
+            p.add_argument("--brute", action="store_true", help="also run the brute-force oracle")
+        return p
+
+    p = add("insert", "insert a word into a tableau pair", _cmd_insert)
     p.add_argument("word")
     p.add_argument("--kind", choices=["plactic", "hypoplactic"], default="hypoplactic")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_insert)
 
-    p = sub.add_parser("rsk", help="classical insertion (alias for insert --kind plactic)")
+    p = add("rsk", "classical insertion (alias for insert --kind plactic)", _cmd_insert,
+            kind="plactic")
     p.add_argument("word")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_rsk)
 
-    p = sub.add_parser("component", help="explore a (quasi-)crystal component")
+    p = add("component", "explore a (quasi-)crystal component", _cmd_component, n=True,
+            formats=("text", "json", "dot"))
     p.add_argument("word")
     p.add_argument("--kind", choices=["crystal", "quasi"], default="quasi")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_component)
+    p.add_argument("--overlay", action="store_true", help="mark crystal-only edges")
 
-    p = sub.add_parser("congruent", help="decide a congruence between two words")
+    p = add("congruent", "decide a congruence between two words", _cmd_congruent, n=True)
     p.add_argument("u")
     p.add_argument("v")
     p.add_argument("--relation", choices=["plac", "hypo", "sim"], default="hypo")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_congruent)
 
-    p = sub.add_parser("highest-weight", help="raise a word to its component's root")
+    p = add("highest-weight", "raise a word to its component's root", _cmd_highest_weight,
+            n=True)
     p.add_argument("word")
     p.add_argument("--kind", choices=["crystal", "quasi"], default="quasi")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_highest_weight)
 
-    p = sub.add_parser("classsize", help="size of the hypoplactic class of a shape")
+    p = add("classsize", "size of the hypoplactic class of a shape", _cmd_classsize,
+            n=True, brute=True)
     p.add_argument("shape")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_classsize)
 
-    p = sub.add_parser("count-qrt", help="count quasi-ribbon tableaux of a shape")
+    p = add("count-qrt", "count quasi-ribbon tableaux of a shape", _cmd_count_qrt,
+            n=True, brute=True)
     p.add_argument("shape")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_count_qrt)
 
-    p = sub.add_parser(
-        "count-components",
-        help="count isomorphic crystal components containing quasi-ribbon words",
-    )
+    p = add("count-components",
+            "count isomorphic crystal components containing quasi-ribbon words",
+            _cmd_count_components, n=True, brute=True)
     p.add_argument("shape", help="partition")
-    _global_flags(p)
-    p.set_defaults(func=_cmd_count_components)
 
-    p = sub.add_parser("verify", help="run built-in consistency checks")
+    p = add("verify", "run built-in consistency checks", _cmd_verify, formats=())
     p.add_argument(
         "--suite",
         choices=["golden", "laws", "counts", "graphs", "all"],
         default="all",
     )
-    _global_flags(p)
-    p.set_defaults(func=_cmd_verify)
 
     return parser
 
@@ -123,11 +110,6 @@ def _infer_n(args, word: words.Word) -> int:
     return max(word) if word else 1
 
 
-def _reject_dot(args) -> None:
-    if args.format == "dot":
-        raise _UsageError("dot output only applies to component")
-
-
 def _print_pair(args, first, second, first_key, second_key):
     if args.format == "json":
         print(json.dumps({first_key: first.to_json_dict(), second_key: second.to_json_dict()}))
@@ -139,7 +121,6 @@ def _print_pair(args, first, second, first_key, second_key):
 
 
 def _cmd_insert(args) -> int:
-    _reject_dot(args)
     w = words.parse_word(args.word)
     if args.kind == "plactic":
         p, q = young.rsk(w)
@@ -150,11 +131,6 @@ def _cmd_insert(args) -> int:
     return EXIT_OK
 
 
-def _cmd_rsk(args) -> int:
-    args.kind = "plactic"
-    return _cmd_insert(args)
-
-
 def _cmd_component(args) -> int:
     w = words.parse_word(args.word)
     n = _infer_n(args, w)
@@ -162,9 +138,7 @@ def _cmd_component(args) -> int:
     if args.overlay and kind != graphs.CRYSTAL:
         raise _UsageError("--overlay only applies to --kind crystal")
     component = graphs.explore_component(w, n, kind)
-    dotted: list = []
-    if args.overlay:
-        _, dotted = graphs.crystal_overlay(w, n)
+    dotted = graphs._split_edges(component)[1] if args.overlay else []
     if args.format == "dot":
         sys.stdout.write(graphs.component_to_dot(component, dotted))
     elif args.format == "json":
@@ -182,7 +156,6 @@ def _cmd_component(args) -> int:
 
 
 def _cmd_congruent(args) -> int:
-    _reject_dot(args)
     u = words.parse_word(args.u)
     v = words.parse_word(args.v)
     n = _infer_n(args, u + v)
@@ -212,7 +185,6 @@ def _cmd_congruent(args) -> int:
 
 
 def _cmd_highest_weight(args) -> int:
-    _reject_dot(args)
     w = words.parse_word(args.word)
     n = _infer_n(args, w)
     kind = graphs.CRYSTAL if args.kind == "crystal" else graphs.QUASI_CRYSTAL
@@ -225,7 +197,6 @@ def _cmd_highest_weight(args) -> int:
 
 
 def _print_count(args, formula: int, brute: Optional[int]) -> int:
-    _reject_dot(args)
     if args.format == "json":
         payload = {"formula": formula}
         if brute is not None:

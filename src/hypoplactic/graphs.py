@@ -26,7 +26,6 @@ from .operators import kashiwara_lowerings, quasi_f, quasi_lowerings
 from .quasiribbon import (
     _sort_positions,
     hypo_congruent,
-    hypo_rsk,
     slide_up_slide_left,
     standard_ribbon,
 )
@@ -40,6 +39,7 @@ from .words import (
     is_standard,
     parse_word,
     schuetzenberger_involution,
+    standardize,
     weight,
 )
 from .young import rsk
@@ -223,21 +223,31 @@ def sim_related(u: Word, v: Word, n: int) -> bool:
 
 def same_recording_ribbon(u: Word, v: Word, n: int) -> bool:
     """Whether insertion records ``u`` and ``v`` identically, which is
-    exactly membership in one quasi-crystal component."""
+    exactly membership in one quasi-crystal component.  The recording
+    ribbon is std(w)^-1 placed in the ribbon of its descents, so it is
+    fixed by the standardization of the word and fixes it in turn."""
     check_alphabet(u, n)
     check_alphabet(v, n)
-    return hypo_rsk(u)[1] == hypo_rsk(v)[1]
+    return standardize(u) == standardize(v)
 
 
 def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:
     """Edges of the crystal component of ``w``, split into those the
     quasi operators also perform and the crystal-only remainder."""
-    component = explore_component(w, n, CRYSTAL)
+    return _split_edges(explore_component(w, n, CRYSTAL))
+
+
+def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
+    """The edges of ``c`` in sorted order, split into those the quasi
+    operators also perform and the crystal-only remainder; every edge of
+    a quasi-crystal component is a quasi edge."""
+    if c.kind == QUASI_CRYSTAL:
+        return c.edges, []
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
-    for u in sorted(component.out):
-        quasi = quasi_lowerings(u, n)
-        for i, v in component.out[u].items():
+    for u in sorted(c.out):
+        quasi = quasi_lowerings(u, c.n)
+        for i, v in c.out[u].items():
             mirrored = quasi.get(i)
             if mirrored is not None:
                 assert mirrored == v, "quasi operator disagrees with its restriction"
@@ -323,9 +333,7 @@ def component_to_dot(c: Component, dotted: Iterable[Edge] = ()) -> str:
 
 def component_to_json_dict(c: Component) -> dict:
     """JSON form with deterministic ordering, so dumps round-trip."""
-    def edge_is_quasi(u: Word, i: int) -> bool:
-        return c.kind == QUASI_CRYSTAL or quasi_f(u, i) is not None
-
+    quasi_edges = set(_split_edges(c)[0])
     return {
         "kind": c.kind,
         "n": c.n,
@@ -336,7 +344,7 @@ def component_to_json_dict(c: Component) -> dict:
                 "from": format_word(u),
                 "label": i,
                 "to": format_word(v),
-                "quasi": edge_is_quasi(u, i),
+                "quasi": (u, i, v) in quasi_edges,
             }
             for u, i, v in c.edges
         ],

@@ -195,10 +195,7 @@ def has_inversion(w: Word, i: int) -> bool:
 
 def schuetzenberger_involution(w: Word, n: int) -> Word:
     """Reverse ``w`` and replace each symbol a by n-a+1."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    if any(a > n for a in w):
-        raise ValueError(f"word {format_word(w)!r} has a symbol above {n}")
+    check_alphabet(w, n)
     return tuple(n - a + 1 for a in reversed(w))
 
 
@@ -269,10 +266,13 @@ def is_partition(a: Composition) -> bool:
 
 
 def check_alphabet(w: Word, n: int) -> None:
-    """Reject words mentioning symbols above the alphabet bound ``n``."""
+    """Reject a word that is not over 1..n: the one check of a word
+    against an alphabet bound."""
     if n < 1:
         raise ValueError("alphabet bound must be at least 1")
-    if any(a > n for a in w):
+    if w and min(w) < 1:
+        raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
+    if w and max(w) > n:
         raise ValueError(f"word {format_word(w)!r} has a symbol above {n}")
 
 

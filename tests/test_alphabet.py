@@ -1,0 +1,68 @@
+"""Every public entry point that takes a word and an alphabet bound n
+checks the word with ``words.check_alphabet``: a symbol below 1 or
+above n is rejected with a ValueError, before any work is done."""
+
+import pytest
+
+from hypoplactic.counting import check_identity_xyxy, factorization_count, o_conjugacy_witness
+from hypoplactic.graphs import (
+    CRYSTAL,
+    QUASI_CRYSTAL,
+    crystal_overlay,
+    explore_component,
+    highest_weight_word,
+    plac_component_contains_qrw,
+    same_recording_ribbon,
+    sim_related,
+)
+from hypoplactic.words import check_alphabet, schuetzenberger_involution
+
+# (name, call taking one word w over the bound 2); two-word entry points
+# are called with w in each position.
+ENTRY_POINTS = [
+    ("check_alphabet", lambda w: check_alphabet(w, 2)),
+    ("schuetzenberger_involution", lambda w: schuetzenberger_involution(w, 2)),
+    ("highest_weight_word.crystal", lambda w: highest_weight_word(w, 2, CRYSTAL)),
+    ("highest_weight_word.quasi", lambda w: highest_weight_word(w, 2, QUASI_CRYSTAL)),
+    ("explore_component.crystal", lambda w: explore_component(w, 2, CRYSTAL)),
+    ("explore_component.quasi", lambda w: explore_component(w, 2, QUASI_CRYSTAL)),
+    ("crystal_overlay", lambda w: crystal_overlay(w, 2)),
+    ("plac_component_contains_qrw", lambda w: plac_component_contains_qrw(w, 2)),
+    ("sim_related.u", lambda w: sim_related(w, (1,), 2)),
+    ("sim_related.v", lambda w: sim_related((1,), w, 2)),
+    ("same_recording_ribbon.u", lambda w: same_recording_ribbon(w, (1,), 2)),
+    ("same_recording_ribbon.v", lambda w: same_recording_ribbon((1,), w, 2)),
+    ("factorization_count", lambda w: factorization_count(w, (len(w),), (), 2)),
+    ("o_conjugacy_witness.u", lambda w: o_conjugacy_witness(w, (1,), 2)),
+    ("o_conjugacy_witness.v", lambda w: o_conjugacy_witness((1,), w, 2)),
+    ("check_identity_xyxy.x", lambda w: check_identity_xyxy(w, (1,), 2)),
+    ("check_identity_xyxy.y", lambda w: check_identity_xyxy((1,), w, 2)),
+]
+CALLS = [call for _, call in ENTRY_POINTS]
+IDS = [name for name, _ in ENTRY_POINTS]
+
+
+@pytest.mark.parametrize("call", CALLS, ids=IDS)
+@pytest.mark.parametrize("w", [(0,), (1, -3)], ids=str)
+def test_rejects_symbols_below_one(call, w):
+    with pytest.raises(ValueError, match="word symbols must be positive"):
+        call(w)
+
+
+@pytest.mark.parametrize("call", CALLS, ids=IDS)
+def test_rejects_symbols_above_n(call):
+    with pytest.raises(ValueError, match="word '13' has a symbol above 2"):
+        call((1, 3))
+
+
+@pytest.mark.parametrize("call", CALLS, ids=IDS)
+def test_accepts_words_over_the_bound(call):
+    call((2, 1))
+    call(())
+
+
+def test_rejects_bound_below_one():
+    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+        check_alphabet((), 0)
+    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+        schuetzenberger_involution((), 0)

@@ -1,4 +1,7 @@
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -101,6 +104,26 @@ class TestComponent:
         )
         assert code == 0
         assert "style=dotted" in out
+
+    def test_overlay_explores_once(self, capsys, monkeypatch):
+        from hypoplactic import graphs
+
+        calls = []
+        explore = graphs.explore_component
+
+        def counting_explore(*args):
+            calls.append(args)
+            return explore(*args)
+
+        monkeypatch.setattr(graphs, "explore_component", counting_explore)
+        for fmt, mark in (("text", "[crystal-only]"), ("dot", "style=dotted")):
+            calls.clear()
+            code, out, _ = run(
+                capsys, "component", "2111", "-n", "4", "--kind", "crystal",
+                "--overlay", "--format", fmt,
+            )
+            assert code == 0 and mark in out
+            assert len(calls) == 1
 
     def test_overlay_requires_crystal(self, capsys):
         code, _, err = run(capsys, "component", "2111", "-n", "4", "--overlay")
@@ -213,10 +236,75 @@ class TestVerify:
         assert "FAIL" not in out
 
 
+# Each flag a subcommand does not read, which the parser used to accept
+# and ignore on every subcommand.
+UNREAD_FLAGS = [
+    ("insert", "4323", "-n", "2"),
+    ("insert", "4323", "--brute"),
+    ("insert", "4323", "--overlay"),
+    ("rsk", "21", "-n", "2"),
+    ("rsk", "21", "--brute"),
+    ("rsk", "21", "--overlay"),
+    ("component", "12", "-n", "2", "--brute"),
+    ("congruent", "12", "21", "--brute"),
+    ("congruent", "12", "21", "--overlay"),
+    ("highest-weight", "12", "--brute"),
+    ("highest-weight", "12", "--overlay"),
+    ("classsize", "2,1", "--overlay"),
+    ("count-qrt", "2,2", "-n", "4", "--overlay"),
+    ("count-components", "2,2", "-n", "4", "--overlay"),
+    ("verify", "-n", "9"),
+    ("verify", "--format", "json"),
+    ("verify", "--brute"),
+    ("verify", "--overlay"),
+]
+
+DOT_OUTSIDE_COMPONENT = [
+    ("insert", "4323"),
+    ("rsk", "21"),
+    ("congruent", "12", "21"),
+    ("highest-weight", "12"),
+    ("classsize", "2,1"),
+    ("count-qrt", "2,2", "-n", "4"),
+    ("count-components", "2,2", "-n", "4"),
+]
+
+
+def readme_commands():
+    """The argv of every ``hypoplactic`` line in README's command-line
+    block, comments stripped."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("hypoplactic ")
+    ]
+
+
 class TestUsage:
     def test_unknown_command(self, capsys):
         code, _, err = run(capsys, "frobnicate")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", UNREAD_FLAGS, ids=" ".join)
+    def test_unread_flag_rejected(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("argv", DOT_OUTSIDE_COMPONENT, ids=" ".join)
+    def test_dot_only_for_component(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--format", "dot")
+        assert code == 1 and out == ""
+        assert err.startswith("error: argument --format: invalid choice: 'dot'")
+
+    def test_readme_commands_run(self, capsys):
+        commands = readme_commands()
+        assert len(commands) >= 10
+        for argv in commands:
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, ""), argv
 
 
 class TestInternalCheck:

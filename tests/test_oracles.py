@@ -4,8 +4,11 @@ The lowering tables against the per-label operators they tabulate;
 component exploration against a breadth-first search that calls one
 per-label lowering operator per label and vertex; component sizes
 against the counts that the insertion correspondences predict; roots
-against greedy raising one label at a time; and ~, decided by the
-theorem, against its definition by explored components.
+against greedy raising one label at a time; ~, decided by the
+theorem, against its definition by explored components; membership in
+one quasi component, decided by standardization, against equal
+recording ribbons; and the split of crystal edges against the quasi
+operator of each edge.
 """
 
 from collections import deque
@@ -20,9 +23,12 @@ from hypoplactic.counting import count_qrt
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
+    component_to_json_dict,
+    crystal_overlay,
     explore_component,
     highest_weight_word,
     is_highest_weight_hypo,
+    same_recording_ribbon,
     sim_related,
 )
 from hypoplactic.operators import (
@@ -34,7 +40,7 @@ from hypoplactic.operators import (
     quasi_lowerings,
 )
 from hypoplactic.quasiribbon import hypo_rsk
-from hypoplactic.words import weight
+from hypoplactic.words import format_word, weight
 from hypoplactic.young import rsk
 
 from helpers import sim_key, words_up_to
@@ -260,3 +266,39 @@ class TestSimRelatedAgainstDefinition:
     def test_cli_symbol_above_the_bound(self, capsys):
         assert main(["congruent", "13", "21", "-n", "2", "--relation", "sim"]) == 1
         assert "has a symbol above 2" in capsys.readouterr().err
+
+
+class TestSameRecordingRibbonAgainstDefinition:
+    def test_exhaustive(self):
+        # Every pair over n <= 3 up to length 4, unequal lengths included.
+        for n in range(1, 4):
+            ribbons = {w: hypo_rsk(w)[1] for w in words_up_to(n, 4)}
+            for u in ribbons:
+                for v in ribbons:
+                    assert same_recording_ribbon(u, v, n) == (ribbons[u] == ribbons[v])
+
+
+class TestEdgeSplitAgainstQuasiOperator:
+    def test_exhaustive(self):
+        """On every crystal component over n <= 4 up to length 5, an
+        edge u -i-> v is a quasi edge exactly when quasi_f(u, i) is
+        defined, and then it is v; the JSON flags say the same."""
+        for n in range(1, 5):
+            seen = set()
+            for w in words_up_to(n, 5):
+                c = explore_component(w, n, CRYSTAL)
+                if c.root in seen:
+                    continue
+                seen.add(c.root)
+                quasi_edges, crystal_only = crystal_overlay(w, n)
+                assert sorted(quasi_edges + crystal_only) == c.edges
+                assert all(quasi_f(u, i) == v for u, i, v in quasi_edges)
+                assert all(quasi_f(u, i) is None for u, i, _ in crystal_only)
+                flags = {
+                    (e["from"], e["label"], e["to"]): e["quasi"]
+                    for e in component_to_json_dict(c)["edges"]
+                }
+                assert flags == {
+                    (format_word(u), i, format_word(v)): quasi_f(u, i) is not None
+                    for u, i, v in c.edges
+                }
