@@ -243,8 +243,8 @@ def factorization_count(w: Word, alpha: Composition, beta: Composition, n: int) 
     check_alphabet(w, n)
     if not is_quasi_ribbon_word(w):
         raise ValueError(f"{w} is not a quasi-ribbon word")
-    alpha = tuple(alpha)
-    beta = tuple(beta)
+    alpha = validate_composition(alpha)
+    beta = validate_composition(beta)
     if sum(alpha) + sum(beta) != len(w):
         raise ValueError("factor shapes must split the length of w")
     wt = weight(w)

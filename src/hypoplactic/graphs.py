@@ -352,7 +352,19 @@ def component_to_json_dict(c: Component) -> dict:
 
 
 def component_from_json_dict(data: dict) -> Component:
+    """Load a component, rejecting one that is not a component of its
+    kind: the root must be its own highest-weight word and every
+    vertex's out-edges exactly its lowering edges over 1..n."""
     out: dict[Word, dict[int, Word]] = {parse_word(v): {} for v in data["vertices"]}
     for edge in data["edges"]:
         out[parse_word(edge["from"])][edge["label"]] = parse_word(edge["to"])
-    return Component(data["kind"], data["n"], parse_word(data["root"]), out)
+    c = Component(data["kind"], data["n"], parse_word(data["root"]), out)
+    if highest_weight_word(c.root, c.n, c.kind) != c.root:
+        raise ValueError(f"root {format_word(c.root)!r} is not a highest-weight word")
+    lowerings = _LOWERINGS[c.kind]
+    for u, targets in c.out.items():
+        if targets != lowerings(u, c.n):
+            raise ValueError(
+                f"out-edges of {format_word(u)!r} are not its {c.kind} lowering edges"
+            )
+    return c

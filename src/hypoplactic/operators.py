@@ -21,18 +21,17 @@ scan of the word; the per-label operators remain the definitions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .words import Word, has_inversion
 
 
-@dataclass(frozen=True)
-class BracketReduction:
+class BracketReduction(NamedTuple):
     """Surviving "+" and "-" positions after cancelling all "-+" factors.
 
     Positions are 1-indexed into the source word; every surviving plus
-    position precedes every surviving minus position.
+    position precedes every surviving minus position.  Being a named
+    tuple, it compares equal to the plain pair of position tuples.
     """
 
     plus_positions: tuple[int, ...]

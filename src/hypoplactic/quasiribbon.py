@@ -100,6 +100,15 @@ class QuasiRibbonTableau:
         self.entries = entries
 
     @classmethod
+    def _trusted(cls, shape: Composition, entries: Word) -> "QuasiRibbonTableau":
+        """Wrap a shape and entries that insertion built, which are
+        valid by construction; checks nothing."""
+        t = object.__new__(cls)
+        t.shape = shape
+        t.entries = entries
+        return t
+
+    @classmethod
     def from_rows(cls, rows) -> "QuasiRibbonTableau":
         rows = [tuple(row) for row in rows]
         return cls(tuple(len(r) for r in rows), tuple(a for r in rows for a in r))
@@ -168,6 +177,15 @@ class RecordingRibbon:
                 raise ValueError("labels must increase along each row")
         self.shape = shape
         self.labels = labels
+
+    @classmethod
+    def _trusted(cls, shape: Composition, labels: Word) -> "RecordingRibbon":
+        """Wrap a shape and labels that insertion built, which are
+        valid by construction; checks nothing."""
+        r = object.__new__(cls)
+        r.shape = shape
+        r.labels = labels
+        return r
 
     @classmethod
     def from_rows(cls, rows) -> "RecordingRibbon":
@@ -356,12 +374,16 @@ def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     """The pair that inserting ``w`` symbol by symbol with ``kt_insert``
     builds, read off directly (Novelli): the tableau holds sorted(w) and
     the same-shape recording ribbon holds std(w)^-1.  The pair
-    determines the word.
+    determines the word.  Both are valid by construction once the
+    symbols are positive integers, so they are built without
+    re-checking their entries.
     """
-    order, shape = _sort_positions(w)
+    order, shape = _sort_positions(w)  # rejects symbols below 1
+    if not all(isinstance(a, int) for a in w):
+        raise ValueError("entries must be positive integers")
     return (
-        QuasiRibbonTableau(shape, [w[h] for h in order]),
-        RecordingRibbon(shape, [h + 1 for h in order]),
+        QuasiRibbonTableau._trusted(shape, tuple([w[h] for h in order])),
+        RecordingRibbon._trusted(shape, tuple([h + 1 for h in order])),
     )
 
 

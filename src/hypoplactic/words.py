@@ -41,6 +41,8 @@ def weight(w: Word) -> WeakComposition:
     """
     if not w:
         return ()
+    if min(w) < 1:
+        raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
     counts = [0] * max(w)
     for a in w:
         counts[a - 1] += 1

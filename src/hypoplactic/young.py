@@ -53,6 +53,14 @@ class YoungTableau:
                     raise ValueError(f"column through row {r + 1} is not increasing")
         self.rows = rows
 
+    @classmethod
+    def _trusted(cls, rows: tuple[tuple[int, ...], ...]) -> "YoungTableau":
+        """Wrap rows that insertion built, which are valid by
+        construction; checks nothing."""
+        t = object.__new__(cls)
+        t.rows = rows
+        return t
+
     @property
     def shape(self) -> tuple[int, ...]:
         return tuple(len(row) for row in self.rows)
@@ -214,8 +222,12 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
     """Insert the word symbol by symbol, recording insertion order.
 
     Returns the insertion tableau P and the recording tableau Q, which
-    always share a shape; the map w -> (P, Q) is injective.
+    always share a shape; the map w -> (P, Q) is injective.  Both are
+    valid by construction once the symbols are positive integers, so
+    they are built without re-checking their entries.
     """
+    if any(not isinstance(a, int) or a < 1 for a in w):
+        raise ValueError("tableau entries must be positive integers")
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, a in enumerate(w, start=1):
@@ -224,7 +236,10 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
             q_rows.append([])
         q_rows[r].append(i)
         assert len(q_rows[r]) - 1 == c, "P and Q grew different cells"
-    return YoungTableau(p_rows), StandardYoungTableau(q_rows)
+    return (
+        YoungTableau._trusted(tuple(map(tuple, p_rows))),
+        StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),
+    )
 
 
 def column_reading(t) -> Word:

@@ -15,7 +15,7 @@ from hypoplactic.graphs import (
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.words import check_alphabet, schuetzenberger_involution
+from hypoplactic.words import check_alphabet, schuetzenberger_involution, weight
 
 # (name, call taking one word w over the bound 2); two-word entry points
 # are called with w in each position.
@@ -32,7 +32,7 @@ ENTRY_POINTS = [
     ("sim_related.v", lambda w: sim_related((1,), w, 2)),
     ("same_recording_ribbon.u", lambda w: same_recording_ribbon(w, (1,), 2)),
     ("same_recording_ribbon.v", lambda w: same_recording_ribbon((1,), w, 2)),
-    ("factorization_count", lambda w: factorization_count(w, (len(w),), (), 2)),
+    ("factorization_count", lambda w: factorization_count(w, (len(w),) if w else (), (), 2)),
     ("o_conjugacy_witness.u", lambda w: o_conjugacy_witness(w, (1,), 2)),
     ("o_conjugacy_witness.v", lambda w: o_conjugacy_witness((1,), w, 2)),
     ("check_identity_xyxy.x", lambda w: check_identity_xyxy(w, (1,), 2)),
@@ -66,3 +66,11 @@ def test_rejects_bound_below_one():
         check_alphabet((), 0)
     with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
         schuetzenberger_involution((), 0)
+
+
+@pytest.mark.parametrize("w", [(0, 1), (-1, 2), (0,)], ids=str)
+def test_weight_rejects_symbols_below_one(w):
+    """``weight`` takes no bound, but still rejects a symbol below 1
+    rather than miscounting it or failing on an index."""
+    with pytest.raises(ValueError, match="word symbols must be positive"):
+        weight(w)

@@ -1,6 +1,8 @@
 import json
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -319,3 +321,18 @@ class TestInternalCheck:
         assert code == 3
         assert out == ""
         assert err == "error: internal check failed: root not reached\n"
+
+
+def test_import_leaves_dataclasses_out():
+    """Start-up stays short: importing the CLI loads no ``dataclasses``
+    (which pulls in ``inspect``)."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = (
+        f"import sys; sys.path.insert(0, {str(src)!r}); import hypoplactic.cli; "
+        "print('dataclasses' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

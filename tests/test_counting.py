@@ -245,6 +245,11 @@ class TestFactorizationCount:
         with pytest.raises(ValueError):
             factorization_count((1, 1), (1,), (2,), 2)  # length mismatch
 
+    @pytest.mark.parametrize("args", [((), (0,), (), 2), ((1, 1), (3, -1), (), 2)])
+    def test_rejects_factor_shapes_that_are_not_compositions(self, args):
+        with pytest.raises(ValueError, match="composition parts must be positive"):
+            factorization_count(*args)
+
     def test_depends_only_on_shapes(self):
         # equal counts across all quasi-ribbon words sharing a shape
         from collections import defaultdict

@@ -519,6 +519,31 @@ class TestSerialization:
         with pytest.raises(ValueError, match="root must have no in-edges"):
             component_from_json_dict(data)
 
+    def test_json_rejects_edges_of_the_other_kind(self):
+        # 11 -1-> 22 is no crystal edge: f_1(11) = 12
+        data = {
+            "kind": CRYSTAL,
+            "n": 2,
+            "root": "11",
+            "vertices": ["11", "22"],
+            "edges": [{"from": "11", "label": 1, "to": "22"}],
+        }
+        with pytest.raises(ValueError, match="not its crystal lowering edges"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_json_rejects_root_that_is_not_highest_weight(self, kind):
+        # {12, 22} is closed under lowering, but e_1(12) = 11
+        data = {
+            "kind": kind,
+            "n": 2,
+            "root": "12",
+            "vertices": ["12", "22"],
+            "edges": [{"from": "12", "label": 1, "to": "22"}],
+        }
+        with pytest.raises(ValueError, match="not a highest-weight word"):
+            component_from_json_dict(data)
+
     def test_json_quasi_flags(self):
         c = explore_component(parse_word("2111"), 4, CRYSTAL)
         data = component_to_json_dict(c)

@@ -55,6 +55,14 @@ class TestBracketReduce:
         with pytest.raises(ValueError):
             bracket_reduce((1,), 0)
 
+    def test_immutable_value(self):
+        red = bracket_reduce((1, 2, 1), 1)
+        again = bracket_reduce((1, 2, 1), 1)
+        assert red == again and hash(red) == hash(again)
+        assert red != bracket_reduce((1, 1), 1)
+        with pytest.raises(AttributeError):
+            red.plus_positions = ()
+
     def test_matches_naive_rewriting(self):
         for w in words_up_to(3, 6):
             for i in (1, 2):

@@ -7,8 +7,9 @@ against the counts that the insertion correspondences predict; roots
 against greedy raising one label at a time; ~, decided by the
 theorem, against its definition by explored components; membership in
 one quasi component, decided by standardization, against equal
-recording ribbons; and the split of crystal edges against the quasi
-operator of each edge.
+recording ribbons; the split of crystal edges against the quasi
+operator of each edge; and the tableaux that insertion builds without
+checks against the public constructors that check them.
 """
 
 from collections import deque
@@ -39,9 +40,9 @@ from hypoplactic.operators import (
     quasi_f,
     quasi_lowerings,
 )
-from hypoplactic.quasiribbon import hypo_rsk
+from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, hypo_rsk
 from hypoplactic.words import format_word, weight
-from hypoplactic.young import rsk
+from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
 
 from helpers import sim_key, words_up_to
 
@@ -302,3 +303,45 @@ class TestEdgeSplitAgainstQuasiOperator:
                     (format_word(u), i, format_word(v)): quasi_f(u, i) is not None
                     for u, i, v in c.edges
                 }
+
+
+def assert_insertion_outputs_pass_public_checks(w):
+    """Rebuild each output of ``hypo_rsk`` and ``rsk``, which skip the
+    checks, through its public constructor: it must be accepted and equal
+    the original, with an equal hash and tuple fields."""
+    T, R = hypo_rsk(w)
+    P, Q = rsk(w)
+    for built, rebuilt, fields in [
+        (T, QuasiRibbonTableau(T.shape, T.entries), (T.shape, T.entries)),
+        (R, RecordingRibbon(R.shape, R.labels), (R.shape, R.labels)),
+        (P, YoungTableau(P.rows), (P.rows, *P.rows)),
+        (Q, StandardYoungTableau(Q.rows), (Q.rows, *Q.rows)),
+    ]:
+        assert type(rebuilt) is type(built)
+        assert rebuilt == built and hash(rebuilt) == hash(built)
+        assert all(type(field) is tuple for field in fields)
+
+
+class TestInsertionOutputsAgainstPublicConstructors:
+    def test_exhaustive(self):
+        """Every word over n <= 4 up to length 6."""
+        for w in words_up_to(4, 6):
+            assert_insertion_outputs_pass_public_checks(w)
+
+    @settings(deadline=None)
+    @given(words_with_bound(50, 300))
+    def test_long_words(self, word_and_n):
+        assert_insertion_outputs_pass_public_checks(word_and_n[0])
+
+    @pytest.mark.parametrize("insert, w, message", [
+        (hypo_rsk, (0, 1), "symbols must be positive"),
+        (hypo_rsk, (2, -1), "symbols must be positive"),
+        (hypo_rsk, (1.5, 2), "entries must be positive integers"),
+        (rsk, (0, 1), "tableau entries must be positive integers"),
+        (rsk, (2, -1), "tableau entries must be positive integers"),
+        (rsk, (1.5, 2), "tableau entries must be positive integers"),
+    ])
+    def test_rejects_symbols_that_are_not_positive_integers(self, insert, w, message):
+        with pytest.raises(ValueError) as excinfo:
+            insert(w)
+        assert str(excinfo.value) == message
