@@ -19,7 +19,6 @@ unique isomorphism.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterable, Optional
 
 from .operators import kashiwara_lowerings, quasi_f, quasi_lowerings
@@ -31,6 +30,7 @@ from .quasiribbon import (
 )
 from .words import (
     Composition,
+    WeakComposition,
     Word,
     check_alphabet,
     composition_from_descents,
@@ -60,46 +60,89 @@ def _normalize_kind(kind: str) -> str:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
+def _walk(root: Word, targets_of) -> tuple[dict, list[Word], dict[Word, int]]:
+    """Number the component of ``root`` breadth-first, taking each
+    vertex's out-edges, by increasing label, from ``targets_of``.  The
+    walk checks every edge it follows: no edge enters the root and no
+    vertex has two in-edges with one label."""
+    out: dict[Word, dict[int, Word]] = {}
+    order = [root]
+    index = {root: 0}
+    in_edges: set[tuple[int, int]] = set()
+    for u in order:
+        out[u] = targets = targets_of(u)
+        for i, v in targets.items():
+            j = index.get(v)
+            if j is None:
+                j = index[v] = len(order)
+                order.append(v)
+            elif j == 0:
+                raise ValueError("root must have no in-edges")
+            elif (i, j) in in_edges:
+                raise ValueError("some vertex has two in-edges with one label")
+            in_edges.add((i, j))
+    return out, order, index
+
+
 class Component:
     """A finite connected component with its unique highest-weight root.
 
     ``out`` maps each vertex to its labelled out-neighbours; every
-    vertex of the component appears as a key, sinks included.
+    vertex of the component appears as a key, sinks included.  The
+    constructor is the one validator of a component: the graph must be
+    reachable from the root with at most one in-edge per label and
+    none into the root, the root must be its own highest-weight word,
+    and every vertex's out-edges must be exactly its lowering table
+    over 1..n.
     """
 
     def __init__(self, kind: str, n: int, root: Word, out: dict[Word, dict[int, Word]]):
-        self.kind = _normalize_kind(kind)
-        self.n = n
-        self.root = root
+        kind = _normalize_kind(kind)
         if root not in out:
             raise ValueError("root is not a vertex of the component")
-        # One breadth-first walk numbers the component canonically and
-        # checks every edge it follows; once it has reached every
-        # vertex, it has followed every edge.
-        sorted_out: dict[Word, dict[int, Word]] = {}
-        order = [root]
-        index = {root: 0}
-        in_edges: set[tuple[int, int]] = set()
-        for u in order:
-            targets = sorted_out[u] = dict(sorted(out[u].items()))
-            for i, v in targets.items():
-                j = index.get(v)
-                if j is None:
-                    if v not in out:
-                        raise ValueError("edge target outside the component")
-                    j = index[v] = len(order)
-                    order.append(v)
-                elif j == 0:
-                    raise ValueError("root must have no in-edges")
-                elif (i, j) in in_edges:
-                    raise ValueError("some vertex has two in-edges with one label")
-                in_edges.add((i, j))
+
+        def targets_of(u: Word) -> dict[int, Word]:
+            targets = dict(sorted(out[u].items()))
+            if not all(v in out for v in targets.values()):
+                raise ValueError("edge target outside the component")
+            return targets
+
+        walked, order, index = _walk(root, targets_of)
         if len(order) != len(out):
             raise ValueError("component is not reachable from its root")
-        self.out = sorted_out
+        if highest_weight_word(root, n, kind) != root:
+            raise ValueError(f"root {format_word(root)!r} is not a highest-weight word")
+        lowerings = _LOWERINGS[kind]
+        for u in order:
+            if walked[u] != lowerings(u, n):
+                raise ValueError(
+                    f"out-edges of {format_word(u)!r} are not its {kind} lowering edges"
+                )
+        self._set(kind, n, root, walked, order, index)
+
+    @classmethod
+    def _trusted(cls, kind, n, root, out, order, index) -> "Component":
+        """Wrap the result of a walk along the kind's own lowering
+        tables, which is a component by construction; checks nothing."""
+        c = object.__new__(cls)
+        c._set(kind, n, root, out, order, index)
+        return c
+
+    def _set(self, kind, n, root, out, order, index) -> None:
+        self.kind = kind
+        self.n = n
+        self.root = root
+        self.out = out
         self.vertices = frozenset(order)
         self._order = order
         self._index = index
+
+    @property
+    def shape(self) -> WeakComposition:
+        """The isomorphism key within one kind and n: the root's weight,
+        which is the quasi-ribbon shape of the component's words for a
+        quasi-crystal and the shape of their P-tableau for a crystal."""
+        return weight(self.root)
 
     @property
     def edges(self) -> list[Edge]:
@@ -117,12 +160,24 @@ class Component:
 
     def signature(self) -> tuple:
         """Canonical encoding deciding isomorphism: per visited vertex,
-        its weight and its labelled out-edges as visit indices."""
+        its weight and its labelled out-edges as visit indices.  Only
+        the root's weight is counted; every edge lowers, and lowering by
+        i moves one unit of weight from i to i+1, so each other vertex's
+        weight follows from the vertex that first reached it."""
         index = self._index
-        return tuple(
-            (weight(u), tuple((i, index[v]) for i, v in self.out[u].items()))
-            for u in self._order
-        )
+        weights = [self.shape]
+        rows = []
+        # weights grows as vertices are first reached, always ahead of u
+        for u, wt in zip(self._order, weights):
+            edges = []
+            for i, v in self.out[u].items():
+                j = index[v]
+                if j == len(weights):  # first reached here
+                    up = wt[i] + 1 if i < len(wt) else 1
+                    weights.append(wt[:i - 1] + (wt[i - 1] - 1, up) + wt[i + 1:])
+                edges.append((i, j))
+            rows.append((wt, tuple(edges)))
+        return tuple(rows)
 
     def __len__(self):
         return len(self.vertices)
@@ -136,27 +191,19 @@ class Component:
 
 def explore_component(w: Word, n: int, kind: str) -> Component:
     """The component of ``w`` with labels 1..n-1: find the root with
-    ``highest_weight_word``, then search breadth-first from the root
-    along the lowering edges of the chosen kind, in increasing label
-    order.  Each vertex's out-edges come from one lowering table of the
-    kind.  Reaching ``w`` checks the root."""
+    ``highest_weight_word``, then walk breadth-first from the root along
+    the lowering edges of the chosen kind, in increasing label order.
+    Each vertex's out-edges come from one lowering table of the kind.
+    Reaching ``w`` checks the root."""
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
     lowerings = _LOWERINGS[kind]
-    out: dict[Word, dict[int, Word]] = {root: {}}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        out[u] = targets = lowerings(u, n)
-        for v in targets.values():
-            if v not in out:
-                out[v] = {}
-                queue.append(v)
-    if w not in out:
+    out, order, index = _walk(root, lambda u: lowerings(u, n))
+    if w not in index:
         raise AssertionError(
             f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
         )
-    return Component(kind, n, root, out)
+    return Component._trusted(kind, n, root, out, order, index)
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
@@ -352,19 +399,9 @@ def component_to_json_dict(c: Component) -> dict:
 
 
 def component_from_json_dict(data: dict) -> Component:
-    """Load a component, rejecting one that is not a component of its
-    kind: the root must be its own highest-weight word and every
-    vertex's out-edges exactly its lowering edges over 1..n."""
+    """Load a component; the constructor rejects one that is not a
+    component of its kind."""
     out: dict[Word, dict[int, Word]] = {parse_word(v): {} for v in data["vertices"]}
     for edge in data["edges"]:
         out[parse_word(edge["from"])][edge["label"]] = parse_word(edge["to"])
-    c = Component(data["kind"], data["n"], parse_word(data["root"]), out)
-    if highest_weight_word(c.root, c.n, c.kind) != c.root:
-        raise ValueError(f"root {format_word(c.root)!r} is not a highest-weight word")
-    lowerings = _LOWERINGS[c.kind]
-    for u, targets in c.out.items():
-        if targets != lowerings(u, c.n):
-            raise ValueError(
-                f"out-edges of {format_word(u)!r} are not its {c.kind} lowering edges"
-            )
-    return c
+    return Component(data["kind"], data["n"], parse_word(data["root"]), out)

@@ -370,6 +370,14 @@ def _sort_positions(w: Word) -> tuple[list[int], Composition]:
     return order, tuple(shape)
 
 
+def _checked_sort_positions(w: Word) -> tuple[list[int], Composition]:
+    """``_sort_positions`` of a word whose symbols are not yet known to
+    be integers."""
+    if not all(isinstance(a, int) for a in w):
+        raise ValueError("entries must be positive integers")
+    return _sort_positions(w)  # rejects symbols below 1
+
+
 def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     """The pair that inserting ``w`` symbol by symbol with ``kt_insert``
     builds, read off directly (Novelli): the tableau holds sorted(w) and
@@ -378,9 +386,7 @@ def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     symbols are positive integers, so they are built without
     re-checking their entries.
     """
-    order, shape = _sort_positions(w)  # rejects symbols below 1
-    if not all(isinstance(a, int) for a in w):
-        raise ValueError("entries must be positive integers")
+    order, shape = _checked_sort_positions(w)
     return (
         QuasiRibbonTableau._trusted(shape, tuple([w[h] for h in order])),
         RecordingRibbon._trusted(shape, tuple([h + 1 for h in order])),
@@ -404,16 +410,16 @@ def hypo_rsk_inverse(T: QuasiRibbonTableau, R: RecordingRibbon) -> Word:
 def predicted_shape(w: Word) -> Composition:
     """Shape of the quasi-ribbon tableau of ``w``, computed without
     building it: the descent composition of the inverse of std(w)."""
-    return _sort_positions(w)[1]
+    return _checked_sort_positions(w)[1]
 
 
 def hypo_congruent(u: Word, v: Word) -> bool:
     """Whether ``u`` and ``v`` have the same quasi-ribbon tableau.
 
     Decided through the cheap characterization: equal weights and equal
-    predicted shapes.
+    predicted shapes.  ``weight`` checks the symbols of both words.
     """
-    return weight(u) == weight(v) and predicted_shape(u) == predicted_shape(v)
+    return weight(u) == weight(v) and _sort_positions(u)[1] == _sort_positions(v)[1]
 
 
 def hypoplactic_relations(n: int) -> list[tuple[Word, Word]]:

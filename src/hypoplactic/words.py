@@ -13,7 +13,9 @@ Conventions used throughout the package:
 * a *partition* is a non-increasing composition.
 
 Words have a compact text form: a plain digit string when every symbol
-is at most 9 ("4323"), comma-separated integers otherwise ("10,2,11").
+is one of 1..9 ("4323"), comma-separated integers otherwise ("10,2,11";
+error messages quote a word holding 0 or a negative symbol this way
+too, as "-1,2").
 A one-symbol word in the comma form carries a trailing comma ("12,"),
 so that it does not read back as a digit string; a comma-free string
 holding a 0 is rejected rather than read as one large symbol.  The
@@ -37,15 +39,19 @@ def weight(w: Word) -> WeakComposition:
     """Count how many times each symbol occurs in ``w``.
 
     The k-th term of the result is the number of symbols k; trailing
-    zeros are stripped, so the result is canonical.
+    zeros are stripped, so the result is canonical.  A symbol that is
+    not a positive integer raises ValueError.
     """
     if not w:
         return ()
-    if min(w) < 1:
-        raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
-    counts = [0] * max(w)
-    for a in w:
-        counts[a - 1] += 1
+    try:
+        if min(w) < 1:
+            raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
+        counts = [0] * max(w)
+        for a in w:
+            counts[a - 1] += 1
+    except TypeError:  # a symbol that cannot be compared or index the counts
+        raise ValueError("entries must be positive integers") from None
     return tuple(counts)
 
 
@@ -241,7 +247,7 @@ def parse_word(text: str) -> Word:
 def format_word(w: Word) -> str:
     if not w:
         return ""
-    if all(a <= 9 for a in w):
+    if all(1 <= a <= 9 for a in w):
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w) + ("," if len(w) == 1 else "")
 

@@ -15,7 +15,8 @@ from hypoplactic.graphs import (
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.words import check_alphabet, schuetzenberger_involution, weight
+from hypoplactic.quasiribbon import hypo_congruent, predicted_shape
+from hypoplactic.words import check_alphabet, format_word, schuetzenberger_involution, weight
 
 # (name, call taking one word w over the bound 2); two-word entry points
 # are called with w in each position.
@@ -74,3 +75,33 @@ def test_weight_rejects_symbols_below_one(w):
     rather than miscounting it or failing on an index."""
     with pytest.raises(ValueError, match="word symbols must be positive"):
         weight(w)
+
+
+@pytest.mark.parametrize("w, quoted", [
+    ((-1, 2), "'-1,2'"),
+    ((1, -3), "'1,-3'"),
+    ((0, 1), "'0,1'"),
+    ((0,), "'0,'"),
+], ids=str)
+def test_messages_quote_non_positive_symbols_in_the_comma_form(w, quoted):
+    """A digit string would read as another word ('-12', '1-3') or as
+    one that does not parse ('01'), so such words are quoted with commas."""
+    assert repr(format_word(w)) == quoted
+    for call in (lambda: check_alphabet(w, 3), lambda: weight(w)):
+        with pytest.raises(ValueError) as excinfo:
+            call()
+        assert str(excinfo.value) == f"word symbols must be positive: {quoted}"
+
+
+@pytest.mark.parametrize("call", [
+    weight,
+    predicted_shape,
+    lambda w: hypo_congruent(w, w),
+    lambda w: hypo_congruent(w, (1, 2)),
+    lambda w: hypo_congruent((1, 2), w),
+], ids=["weight", "predicted_shape", "hypo_congruent", "hypo_congruent.u", "hypo_congruent.v"])
+@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2")], ids=str)
+def test_rejects_symbols_that_are_not_integers(call, w):
+    with pytest.raises(ValueError) as excinfo:
+        call(w)
+    assert str(excinfo.value) == "entries must be positive integers"

@@ -8,8 +8,10 @@ against greedy raising one label at a time; ~, decided by the
 theorem, against its definition by explored components; membership in
 one quasi component, decided by standardization, against equal
 recording ribbons; the split of crystal edges against the quasi
-operator of each edge; and the tableaux that insertion builds without
-checks against the public constructors that check them.
+operator of each edge; the tableaux that insertion builds without
+checks, and the components that exploration builds without checks,
+against the public constructors that check them; and the isomorphism
+key ``Component.shape`` against signatures.
 """
 
 from collections import deque
@@ -24,6 +26,7 @@ from hypoplactic.counting import count_qrt
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
+    Component,
     component_to_json_dict,
     crystal_overlay,
     explore_component,
@@ -40,7 +43,7 @@ from hypoplactic.operators import (
     quasi_f,
     quasi_lowerings,
 )
-from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, hypo_rsk
+from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, hypo_rsk, predicted_shape
 from hypoplactic.words import format_word, weight
 from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
 
@@ -135,6 +138,20 @@ def hook_content_count(shape, n):
     return int(count)
 
 
+def assert_rebuilt_component_equal(c):
+    """Rebuild an explored component, which skips the checks, through
+    the public constructor: it must be accepted and equal the original
+    in every view, key order of the out-edges included."""
+    rebuilt = Component(c.kind, c.n, c.root, c.out)
+    assert rebuilt.out == c.out
+    assert list(rebuilt.out) == list(c.out)
+    assert all(list(rebuilt.out[u]) == list(c.out[u]) for u in c.out)
+    assert rebuilt.canonical_order() == c.canonical_order()
+    assert all(rebuilt.index_of(v) == c.index_of(v) for v in c.vertices)
+    assert rebuilt.vertices == c.vertices
+    assert rebuilt.signature() == c.signature()
+
+
 def assert_component_matches_oracle(w, n, kind):
     c = explore_component(w, n, kind)
     out, order, signature = explore_by_label(w, n, kind)
@@ -142,6 +159,7 @@ def assert_component_matches_oracle(w, n, kind):
     assert list(c.out) == list(out)
     assert c.canonical_order() == order
     assert c.signature() == signature
+    assert_rebuilt_component_equal(c)
     return c
 
 
@@ -345,3 +363,70 @@ class TestInsertionOutputsAgainstPublicConstructors:
         with pytest.raises(ValueError) as excinfo:
             insert(w)
         assert str(excinfo.value) == message
+
+
+def explored_components(max_n, max_len):
+    """(n, component) for each component, of both kinds, holding a word
+    over 1..n of length at most max_len; each component once."""
+    for n in range(1, max_n + 1):
+        for kind in (CRYSTAL, QUASI_CRYSTAL):
+            roots = set()
+            for w in words_up_to(n, max_len):
+                c = explore_component(w, n, kind)
+                if c.root not in roots:
+                    roots.add(c.root)
+                    yield n, c
+
+
+class TestPublicConstructor:
+    """Explored components rebuilt through the public constructor are
+    checked in ``assert_component_matches_oracle``; here, the graphs it
+    must reject."""
+
+    def test_out_dict_in_any_order(self):
+        c = explore_component((2, 1, 1), 3, CRYSTAL)
+        shuffled = {u: dict(reversed(c.out[u].items())) for u in reversed(c.out)}
+        assert_rebuilt_component_equal(Component(c.kind, c.n, c.root, shuffled))
+
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_rejects_edge_that_does_not_lower(self, kind):
+        # f_1(1) = 2, so 1 -1-> 2 is an edge of both kinds, but f_1(2)
+        # is undefined and 2 -1-> 12 changes the length
+        with pytest.raises(ValueError, match=f"out-edges of '2' are not its {kind} lowering edges"):
+            Component(kind, 2, (1,), {(1,): {1: (2,)}, (2,): {1: (1, 2)}, (1, 2): {}})
+
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_rejects_lowering_edge_missing(self, kind):
+        with pytest.raises(ValueError, match=f"out-edges of '1' are not its {kind} lowering edges"):
+            Component(kind, 2, (1,), {(1,): {}})
+
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_rejects_root_that_is_not_highest_weight(self, kind):
+        # 2 -1-> nothing is its own lowering table, but e_1(2) = 1
+        with pytest.raises(ValueError, match="root '2' is not a highest-weight word"):
+            Component(kind, 2, (2,), {(2,): {}})
+
+    def test_structure_is_checked_before_kind(self):
+        # the graph is not reachable, and its edges do not lower either
+        with pytest.raises(ValueError, match="not reachable"):
+            Component(CRYSTAL, 2, (1,), {(1,): {}, (2, 2): {}})
+
+
+class TestShapeIsTheIsomorphismKey:
+    def test_exhaustive(self):
+        """On every component over n <= 4 up to length 5, both kinds,
+        the shape is the quasi-ribbon shape (quasi) or P-shape (crystal)
+        of its words, and within one kind and n equal shapes are equal
+        signatures and the reverse."""
+        shape_of_word = {CRYSTAL: lambda v: rsk(v)[0].shape, QUASI_CRYSTAL: predicted_shape}
+        keys = {CRYSTAL: set(), QUASI_CRYSTAL: set()}
+        signature_of = {}
+        shape_of = {}
+        for n, c in explored_components(4, 5):
+            assert c.shape == weight(c.root)
+            assert all(shape_of_word[c.kind](v) == c.shape for v in c.vertices)
+            signature = c.signature()
+            assert signature_of.setdefault((c.kind, n, c.shape), signature) == signature
+            assert shape_of.setdefault((c.kind, n, signature), c.shape) == c.shape
+            keys[c.kind].add((n, c.shape))
+        assert (len(keys[CRYSTAL]), len(keys[QUASI_CRYSTAL])) == (52, 79)
