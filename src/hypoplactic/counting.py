@@ -16,10 +16,9 @@ from typing import Iterator, Optional
 from .graphs import CRYSTAL, explore_component
 from .quasiribbon import (
     QuasiRibbonTableau,
-    highest_weight_qrw,
     hypo_congruent,
-    hypo_rsk,
     is_quasi_ribbon_word,
+    predicted_shape,
 )
 from .words import (
     Composition,
@@ -94,16 +93,16 @@ def hypo_class_size(shape: Composition, n: int) -> int:
 def hypo_class_members(shape: Composition, n: int) -> list[Word]:
     """The hypoplactic class of the highest-weight word of the given
     shape, listed lexicographically.  Brute force: enumerate all words
-    of that weight and keep those inserting to the same tableau."""
+    of that weight and keep those of that shape: each has content
+    ``shape``, its tableau is (sorted content, its shape), and the class
+    tableau has shape ``shape``."""
     shape = validate_composition(shape)
     _guard_weight(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
     if len(shape) > n:
         return []
-    representative = highest_weight_qrw(shape)
-    target = hypo_rsk(representative)[0]
-    return [u for u in words_of_weight(shape) if hypo_rsk(u)[0] == target]
+    return [u for u in words_of_weight(shape) if predicted_shape(u) == shape]
 
 
 def hypo_class_size_brute(shape: Composition, n: int) -> int:
@@ -173,6 +172,8 @@ def count_qrt_brute(shape: Composition, n: int) -> int:
     """Oracle for count_qrt by exhaustive filling."""
     shape = validate_composition(shape)
     _guard_weight(shape)
+    if n < 1:
+        raise ValueError("n must be at least 1")
     return sum(1 for _ in qr_tableaux_of_shape(shape, n))
 
 
@@ -200,6 +201,8 @@ def count_iso_plac_components_with_qrw_brute(lam: Composition, n: int) -> int:
     lam = tuple(lam)
     if not is_partition(lam):
         raise ValueError(f"expected a partition, got {lam}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
     k = sum(lam)
     if n ** k > MAX_BRUTE_WORDS:
         raise TooLargeError(f"{n}^{k} words is beyond the enumeration cap")

@@ -22,6 +22,7 @@ from itertools import accumulate
 from .words import (
     Composition,
     Word,
+    _check_integers,
     max_decreasing_factorization,
     validate_composition,
     weight,
@@ -373,8 +374,7 @@ def _sort_positions(w: Word) -> tuple[list[int], Composition]:
 def _checked_sort_positions(w: Word) -> tuple[list[int], Composition]:
     """``_sort_positions`` of a word whose symbols are not yet known to
     be integers."""
-    if not all(isinstance(a, int) for a in w):
-        raise ValueError("entries must be positive integers")
+    _check_integers(w)
     return _sort_positions(w)  # rejects symbols below 1
 
 

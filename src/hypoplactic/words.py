@@ -13,9 +13,9 @@ Conventions used throughout the package:
 * a *partition* is a non-increasing composition.
 
 Words have a compact text form: a plain digit string when every symbol
-is one of 1..9 ("4323"), comma-separated integers otherwise ("10,2,11";
-error messages quote a word holding 0 or a negative symbol this way
-too, as "-1,2").
+is an integer in 1..9 ("4323"), comma-separated symbols otherwise
+("10,2,11"; error messages quote a word holding 0, a negative symbol or
+a non-integer this way too, as "-1,2" or "1.5,2").
 A one-symbol word in the comma form carries a trailing comma ("12,"),
 so that it does not read back as a digit string; a comma-free string
 holding a 0 is rejected rather than read as one large symbol.  The
@@ -247,7 +247,7 @@ def parse_word(text: str) -> Word:
 def format_word(w: Word) -> str:
     if not w:
         return ""
-    if all(1 <= a <= 9 for a in w):
+    if all(type(a) is int and 1 <= a <= 9 for a in w):
         return "".join(str(a) for a in w)
     return ",".join(str(a) for a in w) + ("," if len(w) == 1 else "")
 
@@ -273,11 +273,20 @@ def is_partition(a: Composition) -> bool:
     return all(a[h] >= a[h + 1] for h in range(len(a) - 1)) and all(p >= 1 for p in a)
 
 
+def _check_integers(w: Word) -> None:
+    """Reject a word holding a symbol that is not an integer: the one
+    integer test of a word's symbols."""
+    for a in w:
+        if not isinstance(a, int):
+            raise ValueError("entries must be positive integers")
+
+
 def check_alphabet(w: Word, n: int) -> None:
     """Reject a word that is not over 1..n: the one check of a word
     against an alphabet bound."""
     if n < 1:
         raise ValueError("alphabet bound must be at least 1")
+    _check_integers(w)
     if w and min(w) < 1:
         raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
     if w and max(w) > n:

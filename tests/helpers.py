@@ -3,7 +3,19 @@
 from itertools import permutations
 
 from hypoplactic.graphs import QUASI_CRYSTAL, explore_component
-from hypoplactic.words import words_over
+from hypoplactic.words import parse_word, words_over
+
+# the nineteen words congruent to 143214, as displayed in the worked example
+CLASS_143214 = sorted(
+    parse_word(text)
+    for text in [
+        "143214", "413214", "431214", "432114",
+        "143241", "413241", "431241", "432141",
+        "143421", "413421", "431421", "432411",
+        "144321", "414321", "434121", "434211",
+        "441321", "443121", "443211",
+    ]
+)
 
 
 def words_up_to(n, max_len):

@@ -1,6 +1,7 @@
 """Every public entry point that takes a word and an alphabet bound n
-checks the word with ``words.check_alphabet``: a symbol below 1 or
-above n is rejected with a ValueError, before any work is done."""
+checks the word with ``words.check_alphabet``: a symbol that is not an
+integer, below 1 or above n is rejected with a ValueError, before any
+work is done."""
 
 import pytest
 
@@ -93,13 +94,26 @@ def test_messages_quote_non_positive_symbols_in_the_comma_form(w, quoted):
         assert str(excinfo.value) == f"word symbols must be positive: {quoted}"
 
 
+@pytest.mark.parametrize("w, text", [
+    ((1.5, 2), "1.5,2"),
+    ((2.0,), "2.0,"),
+    ((1, True), "1,True"),
+], ids=str)
+def test_formats_symbols_that_are_not_ints_in_the_comma_form(w, text):
+    """Only ints 1..9 take the digit form, so (1.5, 2) is not '1.52'."""
+    assert format_word(w) == text
+
+
 @pytest.mark.parametrize("call", [
     weight,
     predicted_shape,
     lambda w: hypo_congruent(w, w),
     lambda w: hypo_congruent(w, (1, 2)),
     lambda w: hypo_congruent((1, 2), w),
-], ids=["weight", "predicted_shape", "hypo_congruent", "hypo_congruent.u", "hypo_congruent.v"])
+    *CALLS,
+], ids=[
+    "weight", "predicted_shape", "hypo_congruent", "hypo_congruent.u", "hypo_congruent.v", *IDS,
+])
 @pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2")], ids=str)
 def test_rejects_symbols_that_are_not_integers(call, w):
     with pytest.raises(ValueError) as excinfo:

@@ -30,19 +30,7 @@ from hypoplactic.quasiribbon import (
 )
 from hypoplactic.words import coarsenings, compositions, parse_word, weight
 
-from helpers import words_up_to
-
-# the nineteen words congruent to 143214, as displayed in the worked example
-CLASS_143214 = sorted(
-    parse_word(text)
-    for text in [
-        "143214", "413214", "431214", "432114",
-        "143241", "413241", "431241", "432141",
-        "143421", "413421", "431421", "432411",
-        "144321", "414321", "434121", "434211",
-        "441321", "443121", "443211",
-    ]
-)
+from helpers import CLASS_143214, words_up_to
 
 
 class TestMultinomial:
@@ -228,6 +216,25 @@ class TestCountIsoComponents:
     def test_brute_guard(self):
         with pytest.raises(TooLargeError):
             count_iso_plac_components_with_qrw_brute((5, 4, 3), 5)
+
+
+FORMULAS_AND_ORACLES = [
+    hypo_class_size,
+    hypo_class_size_brute,
+    count_qrt,
+    count_qrt_brute,
+    count_iso_plac_components_with_qrw,
+    count_iso_plac_components_with_qrw_brute,
+]
+
+
+@pytest.mark.parametrize("count", FORMULAS_AND_ORACLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [0, -1])
+def test_formulas_and_oracles_reject_n_below_one(count, n):
+    """Each oracle raises where its formula does, rather than counting
+    nothing over an empty alphabet."""
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        count((1,), n)
 
 
 class TestFactorizationCount:

@@ -10,8 +10,9 @@ one quasi component, decided by standardization, against equal
 recording ribbons; the split of crystal edges against the quasi
 operator of each edge; the tableaux that insertion builds without
 checks, and the components that exploration builds without checks,
-against the public constructors that check them; and the isomorphism
-key ``Component.shape`` against signatures.
+against the public constructors that check them; the isomorphism
+key ``Component.shape`` against signatures; and the hypoplactic class
+picked by insertion shape against whole tableaux.
 """
 
 from collections import deque
@@ -22,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoplactic.cli import main
-from hypoplactic.counting import count_qrt
+from hypoplactic.counting import count_qrt, hypo_class_members
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
@@ -43,11 +44,17 @@ from hypoplactic.operators import (
     quasi_f,
     quasi_lowerings,
 )
-from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, hypo_rsk, predicted_shape
-from hypoplactic.words import format_word, weight
+from hypoplactic.quasiribbon import (
+    QuasiRibbonTableau,
+    RecordingRibbon,
+    highest_weight_qrw,
+    hypo_rsk,
+    predicted_shape,
+)
+from hypoplactic.words import compositions, format_word, weight, words_of_weight
 from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
 
-from helpers import sim_key, words_up_to
+from helpers import CLASS_143214, sim_key, words_up_to
 
 TABLES = ((kashiwara_lowerings, kashiwara_f), (quasi_lowerings, quasi_f))
 PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
@@ -430,3 +437,37 @@ class TestShapeIsTheIsomorphismKey:
             assert shape_of.setdefault((c.kind, n, signature), c.shape) == c.shape
             keys[c.kind].add((n, c.shape))
         assert (len(keys[CRYSTAL]), len(keys[QUASI_CRYSTAL])) == (52, 79)
+
+
+def class_members_by_tableau(shape, n):
+    """Oracle: the words of weight ``shape`` whose tableau, built by
+    ``hypo_rsk``, equals the tableau of the highest-weight quasi-ribbon
+    word of that shape."""
+    if len(shape) > n:
+        return []
+    target = hypo_rsk(highest_weight_qrw(shape))[0]
+    return [u for u in words_of_weight(shape) if hypo_rsk(u)[0] == target]
+
+
+class TestClassMembersAgainstTableaux:
+    def test_exhaustive(self):
+        """Every composition of weight at most 7, the empty one included,
+        with l parts, over n in {l - 1, l, l + 2}, each raised to 1 when
+        below it: the same list, in the same order."""
+        cases = [
+            (alpha, n)
+            for total in range(8)
+            for alpha in compositions(total)
+            for n in {max(len(alpha) - 1, 1), max(len(alpha), 1), len(alpha) + 2}
+        ]
+        assert len(cases) == 376
+        for alpha, n in cases:
+            assert hypo_class_members(alpha, n) == class_members_by_tableau(alpha, n)
+
+    def test_builds_no_tableau(self, monkeypatch):
+        def refuse(cls, *fields):
+            raise AssertionError(f"built a {cls.__name__}")
+
+        monkeypatch.setattr(QuasiRibbonTableau, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(RecordingRibbon, "_trusted", classmethod(refuse))
+        assert hypo_class_members((2, 1, 1, 2), 4) == CLASS_143214
