@@ -16,9 +16,9 @@ from typing import Iterator, Optional
 from .graphs import CRYSTAL, explore_component
 from .quasiribbon import (
     QuasiRibbonTableau,
+    _sort_positions,
     hypo_congruent,
     is_quasi_ribbon_word,
-    predicted_shape,
 )
 from .words import (
     Composition,
@@ -95,14 +95,15 @@ def hypo_class_members(shape: Composition, n: int) -> list[Word]:
     shape, listed lexicographically.  Brute force: enumerate all words
     of that weight and keep those of that shape: each has content
     ``shape``, its tableau is (sorted content, its shape), and the class
-    tableau has shape ``shape``."""
+    tableau has shape ``shape``.  The words are built from a checked
+    composition, so their shapes come from the unchecked sort."""
     shape = validate_composition(shape)
-    _guard_weight(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _guard_weight(shape)
     if len(shape) > n:
         return []
-    return [u for u in words_of_weight(shape) if predicted_shape(u) == shape]
+    return [u for u in words_of_weight(shape) if _sort_positions(u)[1] == shape]
 
 
 def hypo_class_size_brute(shape: Composition, n: int) -> int:
@@ -122,9 +123,9 @@ def novelli_recursion_check(alpha: Composition, n: int) -> bool:
     max(n, len(alpha)) symbols.
     """
     alpha = validate_composition(alpha)
-    _guard_weight(alpha)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _guard_weight(alpha)
     effective_n = max(n, len(alpha))
     total = sum(hypo_class_size_brute(beta, effective_n) for beta in coarsenings(alpha))
     return total == multinomial(sum(alpha), alpha)
@@ -171,9 +172,9 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
 def count_qrt_brute(shape: Composition, n: int) -> int:
     """Oracle for count_qrt by exhaustive filling."""
     shape = validate_composition(shape)
-    _guard_weight(shape)
     if n < 1:
         raise ValueError("n must be at least 1")
+    _guard_weight(shape)
     return sum(1 for _ in qr_tableaux_of_shape(shape, n))
 
 

@@ -60,17 +60,21 @@ def _normalize_kind(kind: str) -> str:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def _walk(root: Word, targets_of) -> tuple[dict, list[Word], dict[Word, int]]:
+def _walk(root: Word, targets_of) -> tuple[dict, list[Word], dict[Word, int], list[tuple]]:
     """Number the component of ``root`` breadth-first, taking each
     vertex's out-edges, by increasing label, from ``targets_of``.  The
     walk checks every edge it follows: no edge enters the root and no
-    vertex has two in-edges with one label."""
+    vertex has two in-edges with one label.  Besides the out-edges, the
+    visit order and the numbering, it returns each visited vertex's
+    out-edges as ``(label, target index)`` pairs."""
     out: dict[Word, dict[int, Word]] = {}
     order = [root]
     index = {root: 0}
+    rows: list[tuple[tuple[int, int], ...]] = []
     in_edges: set[tuple[int, int]] = set()
     for u in order:
         out[u] = targets = targets_of(u)
+        row = []
         for i, v in targets.items():
             j = index.get(v)
             if j is None:
@@ -80,8 +84,11 @@ def _walk(root: Word, targets_of) -> tuple[dict, list[Word], dict[Word, int]]:
                 raise ValueError("root must have no in-edges")
             elif (i, j) in in_edges:
                 raise ValueError("some vertex has two in-edges with one label")
-            in_edges.add((i, j))
-    return out, order, index
+            edge = (i, j)
+            in_edges.add(edge)
+            row.append(edge)
+        rows.append(tuple(row))
+    return out, order, index, rows
 
 
 class Component:
@@ -107,7 +114,7 @@ class Component:
                 raise ValueError("edge target outside the component")
             return targets
 
-        walked, order, index = _walk(root, targets_of)
+        walked, order, index, rows = _walk(root, targets_of)
         if len(order) != len(out):
             raise ValueError("component is not reachable from its root")
         if highest_weight_word(root, n, kind) != root:
@@ -118,17 +125,17 @@ class Component:
                 raise ValueError(
                     f"out-edges of {format_word(u)!r} are not its {kind} lowering edges"
                 )
-        self._set(kind, n, root, walked, order, index)
+        self._set(kind, n, root, walked, order, index, rows)
 
     @classmethod
-    def _trusted(cls, kind, n, root, out, order, index) -> "Component":
+    def _trusted(cls, kind, n, root, out, order, index, rows) -> "Component":
         """Wrap the result of a walk along the kind's own lowering
         tables, which is a component by construction; checks nothing."""
         c = object.__new__(cls)
-        c._set(kind, n, root, out, order, index)
+        c._set(kind, n, root, out, order, index, rows)
         return c
 
-    def _set(self, kind, n, root, out, order, index) -> None:
+    def _set(self, kind, n, root, out, order, index, rows) -> None:
         self.kind = kind
         self.n = n
         self.root = root
@@ -136,6 +143,7 @@ class Component:
         self.vertices = frozenset(order)
         self._order = order
         self._index = index
+        self._rows = rows
 
     @property
     def shape(self) -> WeakComposition:
@@ -163,21 +171,17 @@ class Component:
         its weight and its labelled out-edges as visit indices.  Only
         the root's weight is counted; every edge lowers, and lowering by
         i moves one unit of weight from i to i+1, so each other vertex's
-        weight follows from the vertex that first reached it."""
-        index = self._index
+        weight follows from the vertex that first reached it.  The edges
+        are the ``(label, target index)`` rows of the walk that numbered
+        the component."""
         weights = [self.shape]
-        rows = []
-        # weights grows as vertices are first reached, always ahead of u
-        for u, wt in zip(self._order, weights):
-            edges = []
-            for i, v in self.out[u].items():
-                j = index[v]
+        # weights grows as vertices are first reached, always ahead of the row
+        for wt, edges in zip(weights, self._rows):
+            for i, j in edges:
                 if j == len(weights):  # first reached here
                     up = wt[i] + 1 if i < len(wt) else 1
                     weights.append(wt[:i - 1] + (wt[i - 1] - 1, up) + wt[i + 1:])
-                edges.append((i, j))
-            rows.append((wt, tuple(edges)))
-        return tuple(rows)
+        return tuple(zip(weights, self._rows))
 
     def __len__(self):
         return len(self.vertices)
@@ -198,12 +202,12 @@ def explore_component(w: Word, n: int, kind: str) -> Component:
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
     lowerings = _LOWERINGS[kind]
-    out, order, index = _walk(root, lambda u: lowerings(u, n))
+    out, order, index, rows = _walk(root, lambda u: lowerings(u, n))
     if w not in index:
         raise AssertionError(
             f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
         )
-    return Component._trusted(kind, n, root, out, order, index)
+    return Component._trusted(kind, n, root, out, order, index, rows)
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
@@ -290,14 +294,23 @@ def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
     a quasi-crystal component is a quasi edge."""
     if c.kind == QUASI_CRYSTAL:
         return c.edges, []
+    n = c.n
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
     for u in sorted(c.out):
-        quasi = quasi_lowerings(u, c.n)
+        # quasi_f(u, i) is defined exactly when i occurs and no i+1
+        # stands left of the last i; every vertex is over 1..n
+        first = [len(u)] * (n + 1)
+        last = [-1] * (n + 1)
+        for pos, a in enumerate(u):
+            if last[a] < 0:
+                first[a] = pos
+            last[a] = pos
         for i, v in c.out[u].items():
-            mirrored = quasi.get(i)
-            if mirrored is not None:
-                assert mirrored == v, "quasi operator disagrees with its restriction"
+            pos = last[i]
+            if pos >= 0 and first[i + 1] > pos:
+                if u[:pos] + (i + 1,) + u[pos + 1:] != v:
+                    raise AssertionError("quasi operator disagrees with its restriction")
                 quasi_edges.append((u, i, v))
             else:
                 crystal_only.append((u, i, v))

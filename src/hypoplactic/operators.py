@@ -130,22 +130,26 @@ def kashiwara_lowerings(u: Word, n: int) -> dict[int, Word]:
 
     Each symbol a is a "+" for label a and a "-" for label a-1, so one
     scan brackets every label: per label, a count of the "-" still
-    open and the position of the rightmost surviving "+".
+    open and the position of the rightmost surviving "+".  A symbol
+    above n is a "+" or "-" only for labels n and up, so it is passed
+    over.
     """
-    size = max(n, max(u, default=0)) + 1
-    open_minus = [0] * size
-    plus = [-1] * size
+    open_minus = [0] * (n + 1)
+    plus = [-1] * (n + 1)
     for pos, a in enumerate(u):
+        if a > n:
+            continue
         if open_minus[a]:
             open_minus[a] -= 1
         else:
             plus[a] = pos
         open_minus[a - 1] += 1  # slot 0 takes the unused "-" of each 1
-    return {
-        i: u[:pos] + (i + 1,) + u[pos + 1:]
-        for i, pos in enumerate(plus[:n])
-        if pos >= 0
-    }
+    lowered = {}
+    for i in range(1, n):
+        pos = plus[i]
+        if pos >= 0:
+            lowered[i] = u[:pos] + (i + 1,) + u[pos + 1:]
+    return lowered
 
 
 def quasi_lowerings(u: Word, n: int) -> dict[int, Word]:
@@ -153,16 +157,16 @@ def quasi_lowerings(u: Word, n: int) -> dict[int, Word]:
     operator is defined, by increasing label, from one scan of ``u``.
 
     Label i lowers exactly when i occurs and no i+1 stands left of the
-    last i, so the first and last position of each symbol decide every
-    label.
+    last i, so the first and last position of each symbol 1..n decide
+    every label.
     """
-    size = max(n, max(u, default=0)) + 1
-    first = [len(u)] * size
-    last = [-1] * size
+    first = [len(u)] * (n + 1)
+    last = [-1] * (n + 1)
     for pos, a in enumerate(u):
-        if last[a] < 0:
-            first[a] = pos
-        last[a] = pos
+        if a <= n:
+            if last[a] < 0:
+                first[a] = pos
+            last[a] = pos
     lowered = {}
     for i in range(1, n):
         pos = last[i]

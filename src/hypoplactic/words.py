@@ -46,6 +46,7 @@ def weight(w: Word) -> WeakComposition:
         return ()
     try:
         if min(w) < 1:
+            _check_integers(w)  # the integer error comes first, as in check_alphabet
             raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
         counts = [0] * max(w)
         for a in w:

@@ -235,7 +235,8 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
         if r == len(q_rows):
             q_rows.append([])
         q_rows[r].append(i)
-        assert len(q_rows[r]) - 1 == c, "P and Q grew different cells"
+        if len(q_rows[r]) - 1 != c:
+            raise AssertionError("P and Q grew different cells")
     return (
         YoungTableau._trusted(tuple(map(tuple, p_rows))),
         StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),

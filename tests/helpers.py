@@ -1,6 +1,9 @@
 """Shared enumeration helpers for the test suite."""
 
+import subprocess
+import sys
 from itertools import permutations
+from pathlib import Path
 
 from hypoplactic.graphs import QUASI_CRYSTAL, explore_component
 from hypoplactic.words import parse_word, words_over
@@ -38,3 +41,15 @@ def sim_key(w, n):
     have equal positions in them."""
     component = explore_component(w, n, QUASI_CRYSTAL)
     return component.signature(), component.index_of(w)
+
+
+def run_optimized(code):
+    """Run ``code`` in a fresh ``python -O``, which strips ``assert``
+    statements, with the package importable; return the finished
+    process with its text output."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    prelude = f"import sys; sys.path.insert(0, {str(src)!r})\n"
+    return subprocess.run(
+        [sys.executable, "-O", "-I", "-c", prelude + code],
+        capture_output=True, text=True, timeout=60,
+    )

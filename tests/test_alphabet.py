@@ -114,8 +114,9 @@ def test_formats_symbols_that_are_not_ints_in_the_comma_form(w, text):
 ], ids=[
     "weight", "predicted_shape", "hypo_congruent", "hypo_congruent.u", "hypo_congruent.v", *IDS,
 ])
-@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2")], ids=str)
+@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2"), (1.5, 0)], ids=str)
 def test_rejects_symbols_that_are_not_integers(call, w):
+    """The integer error comes first, also when a symbol is below 1."""
     with pytest.raises(ValueError) as excinfo:
         call(w)
     assert str(excinfo.value) == "entries must be positive integers"

@@ -228,13 +228,16 @@ FORMULAS_AND_ORACLES = [
 ]
 
 
-@pytest.mark.parametrize("count", FORMULAS_AND_ORACLES, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("count", [*FORMULAS_AND_ORACLES, novelli_recursion_check],
+                         ids=lambda f: f.__name__)
 @pytest.mark.parametrize("n", [0, -1])
 def test_formulas_and_oracles_reject_n_below_one(count, n):
     """Each oracle raises where its formula does, rather than counting
-    nothing over an empty alphabet."""
-    with pytest.raises(ValueError, match="n must be at least 1"):
-        count((1,), n)
+    nothing over an empty alphabet, and before its enumeration cap,
+    which weight 11 is past."""
+    for shape in [(1,), (11,)]:
+        with pytest.raises(ValueError, match="n must be at least 1"):
+            count(shape, n)
 
 
 class TestFactorizationCount:

@@ -194,6 +194,12 @@ class TestLoweringTables:
             for n in range(1, 5):
                 tables_match(u, n)
 
+    def test_no_labels_below_bound_one(self):
+        # labels run over 1..n-1, which is empty for n < 2
+        for u in words_up_to(4, 3):
+            for n in range(-2, 2):
+                assert kashiwara_lowerings(u, n) == quasi_lowerings(u, n) == {}
+
 
 class TestExploreAgainstOracle:
     def test_exhaustive(self):

@@ -18,7 +18,7 @@ from hypoplactic.young import (
     tabloid_of,
 )
 
-from helpers import words_up_to
+from helpers import run_optimized, words_up_to
 
 EQ31_ROWS = [[1, 2, 2, 2, 4], [2, 3, 5], [4, 4], [5, 6]]
 EQ33_COLUMNS = [(2, 5), (1, 3, 4, 6), (4,), (1, 2, 4, 5), (2,)]
@@ -136,6 +136,23 @@ class TestRsk:
             key = rsk(w)
             assert key not in seen, f"collision between {w} and {seen[key]}"
             seen[key] = w
+
+    def test_cell_mismatch_fails_under_optimize(self):
+        """The check that P and Q grow the same cell is a raise, not an
+        ``assert``, so ``python -O`` keeps it: a bump that reports the
+        wrong column is refused."""
+        result = run_optimized(
+            "from hypoplactic import young\n"
+            "row_insert = young._row_insert\n"
+            "def shifted(rows, a):\n"
+            "    r, c = row_insert(rows, a)\n"
+            "    return r, c + 1\n"
+            "young._row_insert = shifted\n"
+            "young.rsk((2, 1))\n"
+        )
+        assert result.returncode == 1
+        assert "in rsk" in result.stderr
+        assert result.stderr.endswith("AssertionError: P and Q grew different cells\n")
 
 
 class TestReadingsAndTabloids:
