@@ -294,22 +294,14 @@ def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
     a quasi-crystal component is a quasi edge."""
     if c.kind == QUASI_CRYSTAL:
         return c.edges, []
-    n = c.n
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
     for u in sorted(c.out):
-        # quasi_f(u, i) is defined exactly when i occurs and no i+1
-        # stands left of the last i; every vertex is over 1..n
-        first = [len(u)] * (n + 1)
-        last = [-1] * (n + 1)
-        for pos, a in enumerate(u):
-            if last[a] < 0:
-                first[a] = pos
-            last[a] = pos
+        quasi = quasi_lowerings(u, c.n)
         for i, v in c.out[u].items():
-            pos = last[i]
-            if pos >= 0 and first[i + 1] > pos:
-                if u[:pos] + (i + 1,) + u[pos + 1:] != v:
+            mirrored = quasi.get(i)
+            if mirrored is not None:
+                if mirrored != v:
                     raise AssertionError("quasi operator disagrees with its restriction")
                 quasi_edges.append((u, i, v))
             else:
