@@ -138,11 +138,13 @@ def _cmd_component(args) -> int:
     if args.overlay and kind != graphs.CRYSTAL:
         raise _UsageError("--overlay only applies to --kind crystal")
     component = graphs.explore_component(w, n, kind)
+    if args.format == "json":
+        # the JSON form flags the quasi edges whether or not --overlay is given
+        print(json.dumps(graphs.component_to_json_dict(component)))
+        return EXIT_OK
     dotted = graphs._split_edges(component)[1] if args.overlay else []
     if args.format == "dot":
         sys.stdout.write(graphs.component_to_dot(component, dotted))
-    elif args.format == "json":
-        print(json.dumps(graphs.component_to_json_dict(component)))
     else:
         print(f"kind: {component.kind}")
         print(f"n: {component.n}")

@@ -19,9 +19,9 @@ unique isomorphism.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
-from .operators import kashiwara_lowerings, quasi_f, quasi_lowerings
+from .operators import _bracket_scan, quasi_f
 from .quasiribbon import (
     _sort_positions,
     hypo_congruent,
@@ -47,8 +47,6 @@ from .young import rsk
 CRYSTAL = "crystal"
 QUASI_CRYSTAL = "quasi-crystal"
 
-_LOWERINGS = {CRYSTAL: kashiwara_lowerings, QUASI_CRYSTAL: quasi_lowerings}
-
 Edge = tuple[Word, int, Word]
 
 
@@ -60,90 +58,166 @@ def _normalize_kind(kind: str) -> str:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
-def _walk(root: Word, targets_of) -> tuple[dict, list[Word], dict[Word, int], list[tuple]]:
-    """Number the component of ``root`` breadth-first, taking each
-    vertex's out-edges, by increasing label, from ``targets_of``.  The
-    walk checks every edge it follows: no edge enters the root and no
-    vertex has two in-edges with one label.  Besides the out-edges, the
-    visit order and the numbering, it returns each visited vertex's
-    out-edges as ``(label, target index)`` pairs."""
-    out: dict[Word, dict[int, Word]] = {}
+def _walk(
+    root: Word, n: int, kind: str, limit: float = float("inf")
+) -> tuple[list[Word], dict[Word, int], list[tuple], list[int]]:
+    """Explore and number the component of ``root`` breadth-first,
+    following each vertex's lowering edges by increasing label.
+
+    One bracket scan per vertex gives the position that f_i changes for
+    every label i, and the mask of the labels whose bracket cancelled a
+    pair, which are the labels of the vertex's i-inversions.  A crystal
+    vertex lowers along every label with a surviving "+"; a quasi-crystal
+    vertex only along those outside its mask.  The walk checks every edge
+    it follows: no edge enters the root and no vertex has two in-edges
+    with one label.  It returns the visit order, the numbering, each
+    vertex's out-edges as ``(label, target index)`` pairs and each
+    vertex's mask.  Once more than ``limit`` vertices are found, it
+    stops after the vertex whose edges it is reading; the later
+    vertices then have no pairs and no mask."""
+    quasi = kind == QUASI_CRYSTAL
+    labels = range(1, n)
     order = [root]
     index = {root: 0}
     rows: list[tuple[tuple[int, int], ...]] = []
-    in_edges: set[tuple[int, int]] = set()
+    masks: list[int] = []
+    in_labels = [0]  # per visited vertex, the labels of its in-edges as a bit mask
     for u in order:
-        out[u] = targets = targets_of(u)
+        plus, cancelled = _bracket_scan(u, n)
+        skip = cancelled if quasi else 0
         row = []
-        for i, v in targets.items():
+        for i in labels:
+            pos = plus[i]
+            if pos < 0 or skip >> i & 1:
+                continue
+            v = u[:pos] + (i + 1,) + u[pos + 1:]
+            bit = 1 << i
             j = index.get(v)
             if j is None:
                 j = index[v] = len(order)
                 order.append(v)
+                in_labels.append(bit)
             elif j == 0:
                 raise ValueError("root must have no in-edges")
-            elif (i, j) in in_edges:
+            elif in_labels[j] & bit:
                 raise ValueError("some vertex has two in-edges with one label")
-            edge = (i, j)
-            in_edges.add(edge)
-            row.append(edge)
+            else:
+                in_labels[j] |= bit
+            row.append((i, j))
         rows.append(tuple(row))
-    return out, order, index, rows
+        masks.append(cancelled)
+        if len(order) > limit:
+            break
+    return order, index, rows, masks
+
+
+def _check_structure(root: Word, out: dict[Word, dict[int, Word]]) -> None:
+    """Check that ``out`` is shaped like a component of ``root``: every
+    edge target is a vertex, no edge enters the root, no vertex has two
+    in-edges with one label, and every vertex is reached from the root.
+    The edges of each reached vertex are checked by increasing label,
+    breadth-first from the root."""
+    if root not in out:
+        raise ValueError("root is not a vertex of the component")
+    reached = [root]
+    seen = {root}
+    labelled_targets = set()
+    for u in reached:
+        targets = out[u]
+        if not all(v in out for v in targets.values()):
+            raise ValueError("edge target outside the component")
+        for i, v in sorted(targets.items()):
+            if v == root:
+                raise ValueError("root must have no in-edges")
+            if (i, v) in labelled_targets:
+                raise ValueError("some vertex has two in-edges with one label")
+            labelled_targets.add((i, v))
+            if v not in seen:
+                seen.add(v)
+                reached.append(v)
+    if len(reached) != len(out):
+        raise ValueError("component is not reachable from its root")
 
 
 class Component:
     """A finite connected component with its unique highest-weight root.
 
-    ``out`` maps each vertex to its labelled out-neighbours; every
-    vertex of the component appears as a key, sinks included.  The
-    constructor is the one validator of a component: the graph must be
-    reachable from the root with at most one in-edge per label and
-    none into the root, the root must be its own highest-weight word,
-    and every vertex's out-edges must be exactly its lowering table
-    over 1..n.
+    A component keeps one store of its edges: the breadth-first visit
+    order from the root (out-edges followed by increasing label), the
+    numbering that order gives, each vertex's out-edges as
+    ``(label, target index)`` pairs, and each vertex's i-inversion
+    labels as a bit mask, from the bracket scan that found its edges.
+    ``out``, ``vertices`` and ``edges`` are read off that store;
+    ``out`` and ``vertices`` are built on first use and kept.
+
+    The constructor is the one validator of a component: ``out`` maps
+    each vertex to its labelled out-neighbours, sinks included; the
+    graph must be reachable from the root with at most one in-edge per
+    label and none into the root, the root must be its own
+    highest-weight word, and every vertex's out-edges must be exactly
+    its lowering table over 1..n.
     """
 
     def __init__(self, kind: str, n: int, root: Word, out: dict[Word, dict[int, Word]]):
         kind = _normalize_kind(kind)
-        if root not in out:
-            raise ValueError("root is not a vertex of the component")
-
-        def targets_of(u: Word) -> dict[int, Word]:
-            targets = dict(sorted(out[u].items()))
-            if not all(v in out for v in targets.values()):
-                raise ValueError("edge target outside the component")
-            return targets
-
-        walked, order, index, rows = _walk(root, targets_of)
-        if len(order) != len(out):
-            raise ValueError("component is not reachable from its root")
+        _check_structure(root, out)
         if highest_weight_word(root, n, kind) != root:
             raise ValueError(f"root {format_word(root)!r} is not a highest-weight word")
-        lowerings = _LOWERINGS[kind]
-        for u in order:
-            if walked[u] != lowerings(u, n):
+        # Walk the true component of the root; up to the first vertex
+        # whose edges differ, both graphs are visited in the same order,
+        # so that vertex is read before the walk finds more vertices
+        # than ``out`` has, however large the true component is.
+        walk = _walk(root, n, kind, len(out))
+        order, _, rows, _ = walk
+        for u, row in zip(order, rows):
+            if out[u] != {i: order[j] for i, j in row}:
                 raise ValueError(
                     f"out-edges of {format_word(u)!r} are not its {kind} lowering edges"
                 )
-        self._set(kind, n, root, walked, order, index, rows)
+        self._set(kind, n, root, walk)
 
     @classmethod
-    def _trusted(cls, kind, n, root, out, order, index, rows) -> "Component":
-        """Wrap the result of a walk along the kind's own lowering
-        tables, which is a component by construction; checks nothing."""
+    def _trusted(cls, kind, n, root, walk) -> "Component":
+        """Wrap the result of ``_walk``, which is a component by
+        construction; checks nothing."""
         c = object.__new__(cls)
-        c._set(kind, n, root, out, order, index, rows)
+        c._set(kind, n, root, walk)
         return c
 
-    def _set(self, kind, n, root, out, order, index, rows) -> None:
+    def _set(self, kind, n, root, walk) -> None:
         self.kind = kind
         self.n = n
         self.root = root
-        self.out = out
-        self.vertices = frozenset(order)
-        self._order = order
-        self._index = index
-        self._rows = rows
+        self._order, self._index, self._rows, self._masks = walk
+        self._out = self._vertices = None
+
+    @property
+    def out(self) -> dict[Word, dict[int, Word]]:
+        """Each vertex's out-neighbours by label, vertices in canonical
+        order and labels increasing."""
+        if self._out is None:
+            order = self._order
+            self._out = {
+                u: {i: order[j] for i, j in row} for u, row in zip(order, self._rows)
+            }
+        return self._out
+
+    @property
+    def vertices(self) -> frozenset[Word]:
+        if self._vertices is None:
+            self._vertices = frozenset(self._order)
+        return self._vertices
+
+    def _flagged_edges(self) -> Iterator[tuple[Word, int, Word, bool]]:
+        """``(u, i, v, quasi)`` for every edge in sorted order, where
+        ``quasi`` says whether the quasi operator also performs it: i is
+        not among the i-inversion labels of u.  Every edge of a
+        quasi-crystal component is one."""
+        order, rows, masks = self._order, self._rows, self._masks
+        for k in sorted(range(len(order)), key=order.__getitem__):
+            u, mask = order[k], masks[k]
+            for i, j in rows[k]:
+                yield u, i, order[j], not mask >> i & 1
 
     @property
     def shape(self) -> WeakComposition:
@@ -154,9 +228,7 @@ class Component:
 
     @property
     def edges(self) -> list[Edge]:
-        return sorted(
-            (u, i, v) for u, ts in self.out.items() for i, v in ts.items()
-        )
+        return [(u, i, v) for u, i, v, _ in self._flagged_edges()]
 
     def canonical_order(self) -> list[Word]:
         """Vertices in breadth-first order from the root, out-edges
@@ -184,30 +256,29 @@ class Component:
         return tuple(zip(weights, self._rows))
 
     def __len__(self):
-        return len(self.vertices)
+        return len(self._order)
 
     def __repr__(self):
         return (
             f"Component(kind={self.kind!r}, n={self.n}, "
-            f"root={format_word(self.root)!r}, size={len(self.vertices)})"
+            f"root={format_word(self.root)!r}, size={len(self)})"
         )
 
 
 def explore_component(w: Word, n: int, kind: str) -> Component:
     """The component of ``w`` with labels 1..n-1: find the root with
     ``highest_weight_word``, then walk breadth-first from the root along
-    the lowering edges of the chosen kind, in increasing label order.
-    Each vertex's out-edges come from one lowering table of the kind.
-    Reaching ``w`` checks the root."""
+    the lowering edges of the chosen kind, in increasing label order,
+    reading each vertex's edges off one bracket scan.  Reaching ``w``
+    checks the root."""
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
-    lowerings = _LOWERINGS[kind]
-    out, order, index, rows = _walk(root, lambda u: lowerings(u, n))
-    if w not in index:
+    walk = _walk(root, n, kind)
+    if w not in walk[1]:
         raise AssertionError(
             f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
         )
-    return Component._trusted(kind, n, root, out, order, index, rows)
+    return Component._trusted(kind, n, root, walk)
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
@@ -290,22 +361,13 @@ def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:
 
 def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
     """The edges of ``c`` in sorted order, split into those the quasi
-    operators also perform and the crystal-only remainder; every edge of
-    a quasi-crystal component is a quasi edge."""
-    if c.kind == QUASI_CRYSTAL:
-        return c.edges, []
+    operators also perform and the crystal-only remainder, by the
+    i-inversion masks that the walk stored; every edge of a
+    quasi-crystal component is a quasi edge."""
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
-    for u in sorted(c.out):
-        quasi = quasi_lowerings(u, c.n)
-        for i, v in c.out[u].items():
-            mirrored = quasi.get(i)
-            if mirrored is not None:
-                if mirrored != v:
-                    raise AssertionError("quasi operator disagrees with its restriction")
-                quasi_edges.append((u, i, v))
-            else:
-                crystal_only.append((u, i, v))
+    for u, i, v, quasi in c._flagged_edges():
+        (quasi_edges if quasi else crystal_only).append((u, i, v))
     return quasi_edges, crystal_only
 
 
@@ -385,7 +447,6 @@ def component_to_dot(c: Component, dotted: Iterable[Edge] = ()) -> str:
 
 def component_to_json_dict(c: Component) -> dict:
     """JSON form with deterministic ordering, so dumps round-trip."""
-    quasi_edges = set(_split_edges(c)[0])
     return {
         "kind": c.kind,
         "n": c.n,
@@ -396,9 +457,9 @@ def component_to_json_dict(c: Component) -> dict:
                 "from": format_word(u),
                 "label": i,
                 "to": format_word(v),
-                "quasi": (u, i, v) in quasi_edges,
+                "quasi": quasi,
             }
-            for u, i, v in c.edges
+            for u, i, v, quasi in c._flagged_edges()
         ],
     }
 

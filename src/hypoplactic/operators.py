@@ -16,7 +16,8 @@ Partiality is a value: undefined applications return None.
 
 The lowering tables ``kashiwara_lowerings`` and ``quasi_lowerings``
 give a word's images under every lowering operator at once, from one
-scan of the word; the per-label operators remain the definitions.
+bracket scan of the word that serves both flavours; the per-label
+operators remain the definitions.
 """
 
 from __future__ import annotations
@@ -124,52 +125,62 @@ def quasi_counts(u: Word, i: int) -> tuple[int, int]:
     )
 
 
-def kashiwara_lowerings(u: Word, n: int) -> dict[int, Word]:
-    """``{i: kashiwara_f(u, i)}`` for every label i in 1..n-1 where the
-    operator is defined, by increasing label, from one scan of ``u``.
+def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
+    """Bracket every label 1..n-1 of ``u`` in one left-to-right scan.
 
     Each symbol a is a "+" for label a and a "-" for label a-1, so one
-    scan brackets every label: per label, a count of the "-" still
-    open and the position of the rightmost surviving "+".  A symbol
-    above n is a "+" or "-" only for labels n and up, so it is passed
-    over.
+    scan keeps, per label, a count of the "-" still open and the
+    position (0-indexed) of the rightmost surviving "+".  Returns these
+    positions, indexed by label and -1 where no "+" survives, and a bit
+    mask holding 1 << i for each label i whose bracket cancelled a "-+"
+    pair.  A cancellation needs an i+1 left of an i, and the first i
+    with an i+1 to its left always cancels, so the mask is exactly the
+    set of labels for which ``u`` has an i-inversion.  A symbol above n
+    is a "+" or "-" only for labels n and up, so it is passed over.
     """
     open_minus = [0] * (n + 1)
     plus = [-1] * (n + 1)
+    cancelled = 0
     for pos, a in enumerate(u):
         if a > n:
             continue
         if open_minus[a]:
             open_minus[a] -= 1
+            cancelled |= 1 << a
         else:
             plus[a] = pos
         open_minus[a - 1] += 1  # slot 0 takes the unused "-" of each 1
+    return plus, cancelled
+
+
+def _lowerings(u: Word, n: int, quasi: bool) -> dict[int, Word]:
+    """The lowering table of ``u`` from one bracket scan; the quasi
+    table leaves out the labels whose bracket cancelled a pair."""
+    plus, cancelled = _bracket_scan(u, n)
+    skip = cancelled if quasi else 0
     lowered = {}
     for i in range(1, n):
         pos = plus[i]
-        if pos >= 0:
+        if pos >= 0 and not skip >> i & 1:
             lowered[i] = u[:pos] + (i + 1,) + u[pos + 1:]
     return lowered
+
+
+def kashiwara_lowerings(u: Word, n: int) -> dict[int, Word]:
+    """``{i: kashiwara_f(u, i)}`` for every label i in 1..n-1 where the
+    operator is defined, by increasing label, from one bracket scan of
+    ``u``: f_i changes the rightmost surviving "+" into i+1."""
+    return _lowerings(u, n, False)
 
 
 def quasi_lowerings(u: Word, n: int) -> dict[int, Word]:
     """``{i: quasi_f(u, i)}`` for every label i in 1..n-1 where the
-    operator is defined, by increasing label, from one scan of ``u``.
+    operator is defined, by increasing label, from one bracket scan of
+    ``u``.
 
-    Label i lowers exactly when i occurs and no i+1 stands left of the
-    last i, so the first and last position of each symbol 1..n decide
-    every label.
+    The quasi operator is the Kashiwara operator restricted to words
+    with no i-inversion, and those are exactly the labels whose bracket
+    cancels nothing; there every i survives as a "+", so the rightmost
+    surviving "+" is the last i, which is what quasi_f changes.
     """
-    first = [len(u)] * (n + 1)
-    last = [-1] * (n + 1)
-    for pos, a in enumerate(u):
-        if a <= n:
-            if last[a] < 0:
-                first[a] = pos
-            last[a] = pos
-    lowered = {}
-    for i in range(1, n):
-        pos = last[i]
-        if pos >= 0 and first[i + 1] > pos:
-            lowered[i] = u[:pos] + (i + 1,) + u[pos + 1:]
-    return lowered
+    return _lowerings(u, n, True)

@@ -127,6 +127,20 @@ class TestComponent:
             assert code == 0 and mark in out
             assert len(calls) == 1
 
+    def test_overlay_leaves_json_unchanged(self, capsys, monkeypatch):
+        # the JSON form flags quasi edges anyway, so --overlay splits nothing more
+        from hypoplactic import graphs
+
+        argv = ("component", "2111", "-n", "4", "--kind", "crystal", "--format", "json")
+        plain = run(capsys, *argv)
+
+        def split(component):
+            raise AssertionError("split the overlay for the JSON form")
+
+        monkeypatch.setattr(graphs, "_split_edges", split)
+        assert run(capsys, *argv, "--overlay") == plain
+        assert plain[0] == 0 and '"quasi": false' in plain[1]
+
     def test_overlay_requires_crystal(self, capsys):
         code, _, err = run(capsys, "component", "2111", "-n", "4", "--overlay")
         assert code == 1

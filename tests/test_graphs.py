@@ -33,7 +33,7 @@ from hypoplactic.quasiribbon import (
 from hypoplactic.words import compositions, parse_word, weight
 from hypoplactic.young import is_yamanouchi, rsk
 
-from helpers import run_optimized, sim_key, standard_words, words_up_to
+from helpers import sim_key, standard_words, words_up_to
 
 
 def quasi_components(n, length):
@@ -253,23 +253,6 @@ class TestCrystalOverlay:
         isolated_b = explore_component(parse_word("321423"), 4, QUASI_CRYSTAL)
         assert len(isolated_a) == len(isolated_b) == 1
         assert isolated_a.signature() == isolated_b.signature()
-
-    def test_disagreeing_quasi_edge_fails_under_optimize(self):
-        """The split's agreement check is a raise, not an ``assert``, so
-        ``python -O`` keeps it: a crystal component whose quasi edge was
-        retargeted is refused."""
-        result = run_optimized(
-            "from hypoplactic.graphs import CRYSTAL, _split_edges, explore_component\n"
-            "c = explore_component((2, 1, 1), 3, CRYSTAL)\n"
-            "u, i, v = _split_edges(c)[0][0]\n"
-            "c.out[u][i] = c.root\n"
-            "_split_edges(c)\n"
-        )
-        assert result.returncode == 1
-        assert "in _split_edges" in result.stderr
-        assert result.stderr.endswith(
-            "AssertionError: quasi operator disagrees with its restriction\n"
-        )
 
 
 class TestQuasiRibbonComponents:

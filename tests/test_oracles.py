@@ -7,23 +7,26 @@ against the counts that the insertion correspondences predict; roots
 against greedy raising one label at a time; ~, decided by the
 theorem, against its definition by explored components; membership in
 one quasi component, decided by standardization, against equal
-recording ribbons; the split of crystal edges against the quasi
-operator of each edge; the tableaux that insertion builds without
-checks, and the components that exploration builds without checks,
-against the public constructors that check them; the isomorphism
-key ``Component.shape`` against signatures; and the hypoplactic class
-picked by insertion shape against whole tableaux.
+recording ribbons; the bracket scan's cancelled labels against
+i-inversions; the split of crystal edges against the quasi operator of
+each edge; vertex weights against the characters F_α and s_λ; the
+tableaux that insertion builds without checks, and the components that
+exploration builds without checks, against the public constructors
+that check them; the isomorphism key ``Component.shape`` against
+signatures; and the hypoplactic class picked by insertion shape
+against whole tableaux.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoplactic import graphs
 from hypoplactic.cli import main
-from hypoplactic.counting import count_qrt, hypo_class_members
+from hypoplactic.counting import count_qrt, hypo_class_members, qr_tableaux_of_shape
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
@@ -37,6 +40,7 @@ from hypoplactic.graphs import (
     sim_related,
 )
 from hypoplactic.operators import (
+    _bracket_scan,
     kashiwara_e,
     kashiwara_f,
     kashiwara_lowerings,
@@ -51,7 +55,14 @@ from hypoplactic.quasiribbon import (
     hypo_rsk,
     predicted_shape,
 )
-from hypoplactic.words import compositions, format_word, weight, words_of_weight
+from hypoplactic.words import (
+    composition_from_descents,
+    compositions,
+    format_word,
+    has_inversion,
+    weight,
+    words_of_weight,
+)
 from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
 
 from helpers import CLASS_143214, sim_key, words_up_to
@@ -199,6 +210,26 @@ class TestLoweringTables:
         for u in words_up_to(4, 3):
             for n in range(-2, 2):
                 assert kashiwara_lowerings(u, n) == quasi_lowerings(u, n) == {}
+
+
+class TestBracketScanMask:
+    """A label's bracket cancels a "-+" pair exactly when the word has
+    an i-inversion, which is what lets one scan serve both kinds."""
+
+    @staticmethod
+    def assert_mask_is_inversions(u, n):
+        inversions = sum(1 << i for i in range(1, n) if has_inversion(u, i))
+        assert _bracket_scan(u, n)[1] == inversions
+
+    def test_exhaustive(self):
+        for n in range(1, 6):
+            for u in words_up_to(n, 6):
+                self.assert_mask_is_inversions(u, n)
+
+    @settings(max_examples=300, deadline=None)
+    @given(words_with_bound(8, 12))
+    def test_random(self, case):
+        self.assert_mask_is_inversions(*case)
 
 
 class TestExploreAgainstOracle:
@@ -391,6 +422,55 @@ def explored_components(max_n, max_len):
                     yield n, c
 
 
+def standard_tableaux(shape):
+    """Every standard Young tableau of a partition shape, as lists of
+    rows, by placing 1, 2, ... in turn at the end of a row."""
+    total = sum(shape)
+
+    def fill(rows, k):
+        if k > total:
+            yield rows
+            return
+        for r, row in enumerate(rows):
+            if len(row) < shape[r] and (r == 0 or len(rows[r - 1]) > len(row)):
+                yield from fill(rows[:r] + [row + [k]] + rows[r + 1:], k + 1)
+
+    yield from fill([[] for _ in shape], 1)
+
+
+def descent_composition(rows):
+    """Des(T) as a composition: k is a descent of a standard tableau
+    when k+1 stands in a lower row than k."""
+    row_of = {k: r for r, row in enumerate(rows) for k in row}
+    total = len(row_of)
+    return composition_from_descents(
+        [k for k in range(1, total) if row_of[k + 1] > row_of[k]], total
+    )
+
+
+class TestCharacters:
+    def test_exhaustive(self):
+        """On every component over n <= 4 up to length 5, the multiset
+        of vertex weights is the character: the contents of the
+        quasi-ribbon tableaux of shape α over n (F_α) for a quasi
+        component of shape α, and the sum of F_Des(T) over the standard
+        Young tableaux T of shape λ (Gessel) for a crystal component of
+        shape λ."""
+        for n, c in explored_components(4, 5):
+            if c.kind == QUASI_CRYSTAL:
+                alphas = [predicted_shape(c.root)]
+            else:
+                alphas = [descent_composition(t) for t in standard_tableaux(rsk(c.root)[0].shape)]
+            contents = Counter(
+                weight(t.entries) for alpha in alphas for t in qr_tableaux_of_shape(alpha, n)
+            )
+            assert Counter(weight(v) for v in c.canonical_order()) == contents
+
+    def test_standard_tableaux(self):
+        assert len(list(standard_tableaux((3, 2)))) == 5
+        assert descent_composition([[1, 2, 4], [3, 5]]) == (2, 2, 1)
+
+
 class TestPublicConstructor:
     """Explored components rebuilt through the public constructor are
     checked in ``assert_component_matches_oracle``; here, the graphs it
@@ -423,6 +503,21 @@ class TestPublicConstructor:
         # the graph is not reachable, and its edges do not lower either
         with pytest.raises(ValueError, match="not reachable"):
             Component(CRYSTAL, 2, (1,), {(1,): {}, (2, 2): {}})
+
+    def test_walks_no_further_than_the_given_graph(self, monkeypatch):
+        # the root's true component has count_qrt((6,), 6) = 462 vertices
+        root = (1,) * 6
+        scanned = []
+        scan = graphs._bracket_scan
+
+        def counting_scan(u, n):
+            scanned.append(u)
+            return scan(u, n)
+
+        monkeypatch.setattr(graphs, "_bracket_scan", counting_scan)
+        with pytest.raises(ValueError, match="out-edges of '111111' are not"):
+            Component(QUASI_CRYSTAL, 6, root, {root: {}})
+        assert scanned == [root]
 
 
 class TestShapeIsTheIsomorphismKey:
