@@ -25,6 +25,7 @@ from .words import (
     Word,
     check_alphabet,
     coarsenings,
+    descents_of_composition,
     format_composition,
     is_partition,
     validate_composition,
@@ -41,6 +42,18 @@ class TooLargeError(Exception):
 
 MAX_BRUTE_WEIGHT = 10
 MAX_BRUTE_WORDS = 200_000
+
+
+def _checked(shape, n: int, partition: bool = False) -> Composition:
+    """The one check of a count's arguments: ``shape`` as a
+    composition, and a partition when ``partition`` is set, then the
+    alphabet bound ``n``."""
+    shape = validate_composition(shape)
+    if partition and not is_partition(shape):
+        raise ValueError(f"expected a partition, got {shape}")
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    return shape
 
 
 def _guard_weight(shape: Composition) -> None:
@@ -76,9 +89,7 @@ def hypo_class_size(shape: Composition, n: int) -> int:
     g_j is the class size of the first j parts and the term for i
     merges parts i+1..j into one.  O(l^2) exact integer steps.
     """
-    shape = validate_composition(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    shape = _checked(shape, n)
     if len(shape) > n:
         return 0
     sums = [0, *accumulate(shape)]
@@ -97,9 +108,7 @@ def hypo_class_members(shape: Composition, n: int) -> list[Word]:
     ``shape``, its tableau is (sorted content, its shape), and the class
     tableau has shape ``shape``.  The words are built from a checked
     composition, so their shapes come from the unchecked sort."""
-    shape = validate_composition(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    shape = _checked(shape, n)
     _guard_weight(shape)
     if len(shape) > n:
         return []
@@ -122,9 +131,7 @@ def novelli_recursion_check(alpha: Composition, n: int) -> bool:
     alphabet covers the content, so the check enumerates over
     max(n, len(alpha)) symbols.
     """
-    alpha = validate_composition(alpha)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    alpha = _checked(alpha, n)
     _guard_weight(alpha)
     effective_n = max(n, len(alpha))
     total = sum(hypo_class_size_brute(beta, effective_n) for beta in coarsenings(alpha))
@@ -134,9 +141,7 @@ def novelli_recursion_check(alpha: Composition, n: int) -> bool:
 def count_qrt(shape: Composition, n: int) -> int:
     """Number of quasi-ribbon tableaux of the given shape with entries
     in 1..n."""
-    shape = validate_composition(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    shape = _checked(shape, n)
     if len(shape) > n:
         return 0
     return comb(n + sum(shape) - len(shape), n - len(shape))
@@ -171,9 +176,7 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
 
 def count_qrt_brute(shape: Composition, n: int) -> int:
     """Oracle for count_qrt by exhaustive filling."""
-    shape = validate_composition(shape)
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    shape = _checked(shape, n)
     _guard_weight(shape)
     return sum(1 for _ in qr_tableaux_of_shape(shape, n))
 
@@ -181,11 +184,7 @@ def count_qrt_brute(shape: Composition, n: int) -> int:
 def count_iso_plac_components_with_qrw(lam: Composition, n: int) -> int:
     """Number of crystal components isomorphic to a shape-``lam``
     component that contain a quasi-ribbon word component."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"expected a partition, got {lam}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    lam = _checked(lam, n, partition=True)
     if not lam:
         return 1
     if sum(lam) - lam[0] + 1 > n:
@@ -199,11 +198,7 @@ def count_iso_plac_components_with_qrw_brute(lam: Composition, n: int) -> int:
     them into crystal components by recording tableau, and among the
     shape-``lam`` components (all isomorphic, which is re-checked via
     signatures) count those holding a quasi-ribbon word."""
-    lam = tuple(lam)
-    if not is_partition(lam):
-        raise ValueError(f"expected a partition, got {lam}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    lam = _checked(lam, n, partition=True)
     k = sum(lam)
     if n ** k > MAX_BRUTE_WORDS:
         raise TooLargeError(f"{n}^{k} words is beyond the enumeration cap")
@@ -224,71 +219,63 @@ def count_iso_plac_components_with_qrw_brute(lam: Composition, n: int) -> int:
     return sum(1 for entry in buckets.values() if entry["qrw"])
 
 
-def _qrw_with_weight(shape: Composition, gamma: tuple[int, ...]) -> Optional[Word]:
-    """Reading of the quasi-ribbon tableau of the given shape and
-    content, or None when that filling is not a tableau."""
-    entries = [k for k, count in enumerate(gamma, start=1) for _ in range(count)]
-    if len(entries) != sum(shape):
-        return None
-    try:
-        return QuasiRibbonTableau(shape, entries).reading()
-    except ValueError:
-        return None
-
-
 def factorization_count(w: Word, alpha: Composition, beta: Composition, n: int) -> int:
     """Number of two-factor products congruent to ``w`` whose factors
     are quasi-ribbon words of shapes ``alpha`` and ``beta``.
 
-    Quasi-ribbon words are cross-sections of their classes, and
-    congruence preserves weight, so candidates are indexed by the ways
-    of splitting the weight of ``w``.
+    The count depends on ``w`` only through its shape gamma: it is the
+    coefficient of F_gamma in F_alpha * F_beta, which the shuffle rule
+    for fundamental quasi-symmetric functions (Gessel) gives as the
+    number of shuffles of sigma and tau with descent composition gamma.
+    Here sigma is a permutation of 1..|alpha| with descent composition
+    alpha, and tau one of the next |beta| letters with descent
+    composition beta.  Why:
+
+    * every quasi-ribbon word of shape alpha has one and the same
+      standardization, and there is one such word per content;
+    * a word is congruent to ``w`` exactly when it has the weight of
+      ``w`` and shape gamma, and the shape is read off the
+      standardization, so the products congruent to ``w`` match the
+      permutations pi whose first |alpha| values follow the pattern of
+      sigma^-1, whose last |beta| values follow that of tau^-1, and
+      whose quasi-ribbon shape is gamma;
+    * the shape of pi is the descent composition of pi^-1, and
+      inverting pi turns these into the shuffles above.
+
+    The shuffles are counted by a dynamic programme over (letters of
+    sigma used, letters of tau used, which one came last) in
+    O(|alpha| * |beta|) steps.  Every letter of tau exceeds every
+    letter of sigma, so a step from sigma to tau is an ascent, a step
+    from tau to sigma a descent, and a step within sigma or within tau
+    is a descent exactly where that permutation has one.
     """
     check_alphabet(w, n)
     if not is_quasi_ribbon_word(w):
         raise ValueError(f"{w} is not a quasi-ribbon word")
     alpha = validate_composition(alpha)
     beta = validate_composition(beta)
-    if sum(alpha) + sum(beta) != len(w):
+    a, b = sum(alpha), sum(beta)
+    if a + b != len(w):
         raise ValueError("factor shapes must split the length of w")
-    wt = weight(w)
-    count = 0
-    for left in _splits_of(wt, sum(alpha)):
-        right = tuple(wt[k] - left[k] for k in range(len(wt)))
-        u = _qrw_with_weight(alpha, left)
-        v = _qrw_with_weight(beta, right)
-        if u is None or v is None:
-            continue
-        if hypo_congruent(w, u + v):
-            count += 1
-    return count
-
-
-def _splits_of(wt: tuple[int, ...], left_sum: int) -> Iterator[tuple[int, ...]]:
-    """All componentwise splits of ``wt`` whose left part sums to
-    ``left_sum``, in lexicographic order."""
-    tail = list(accumulate(reversed(wt), initial=0))[::-1]
-    if not 0 <= left_sum <= tail[0]:
-        return
-    acc: list[int] = []
-    remaining = left_sum
-    while True:
-        # Complete the prefix with the least takes the tail can absorb.
-        while len(acc) < len(wt):
-            take = max(0, remaining - tail[len(acc) + 1])
-            acc.append(take)
-            remaining -= take
-        yield tuple(acc)
-        # Raise the rightmost take that can rise; the rest is refilled.
-        while acc:
-            take = acc.pop()
-            remaining += take
-            if take < min(wt[len(acc)], remaining):
-                acc.append(take + 1)
-                remaining -= take + 1
-                break
-        else:
-            return
+    descents = set(descents_of_composition(_sort_positions(w)[1]))
+    left = set(descents_of_composition(alpha))
+    right = set(descents_of_composition(beta))
+    # ends[i][j]: shuffle prefixes of i letters of sigma and j of tau
+    # whose descents agree with gamma so far, ending in sigma, in tau.
+    # Every prefix starts after a letter 0 of sigma, below all others.
+    ends = [[[0, 0] for _ in range(b + 1)] for _ in range(a + 1)]
+    ends[0][0][0] = 1
+    for i in range(a + 1):
+        for j in range(b + 1):
+            by_sigma, by_tau = ends[i][j]
+            descent = i + j in descents
+            if i < a:
+                ends[i + 1][j][0] += (by_sigma if (i in left) == descent else 0) + (
+                    by_tau if descent else 0)
+            if j < b:
+                ends[i][j + 1][1] += (0 if descent else by_sigma) + (
+                    by_tau if (j in right) == descent else 0)
+    return sum(ends[a][b])
 
 
 def o_conjugacy_witness(u: Word, v: Word, n: int) -> Optional[Word]:

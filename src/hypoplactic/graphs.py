@@ -32,11 +32,11 @@ from .words import (
     Composition,
     WeakComposition,
     Word,
+    _require_standard,
     check_alphabet,
     composition_from_descents,
     format_word,
     has_inversion,
-    is_standard,
     parse_word,
     schuetzenberger_involution,
     standardize,
@@ -398,8 +398,7 @@ def is_interval_reversing(p: Word) -> Optional[Composition]:
     Each block is forced: a block starting at position s+1 must have
     length p[s+1] - s, so at most one candidate exists.
     """
-    if not is_standard(p):
-        raise ValueError(f"expected a standard word, got {format_word(p)!r}")
+    _require_standard(p)
     parts = []
     s = 0
     while s < len(p):

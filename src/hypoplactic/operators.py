@@ -135,14 +135,15 @@ def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
     mask holding 1 << i for each label i whose bracket cancelled a "-+"
     pair.  A cancellation needs an i+1 left of an i, and the first i
     with an i+1 to its left always cancels, so the mask is exactly the
-    set of labels for which ``u`` has an i-inversion.  A symbol above n
-    is a "+" or "-" only for labels n and up, so it is passed over.
+    set of labels for which ``u`` has an i-inversion.  A symbol outside
+    1..n is a "+" or "-" only for labels outside 1..n-1, so it is passed
+    over.
     """
     open_minus = [0] * (n + 1)
     plus = [-1] * (n + 1)
     cancelled = 0
     for pos, a in enumerate(u):
-        if a > n:
+        if not 0 < a <= n:
             continue
         if open_minus[a]:
             open_minus[a] -= 1

@@ -1,4 +1,5 @@
-from itertools import product
+from collections import Counter
+from itertools import combinations, product
 from math import comb, factorial
 
 import pytest
@@ -28,7 +29,14 @@ from hypoplactic.quasiribbon import (
     hypo_congruent,
     hypo_rsk,
 )
-from hypoplactic.words import coarsenings, compositions, parse_word, weight
+from hypoplactic.words import (
+    coarsenings,
+    compositions,
+    descent_composition,
+    parse_word,
+    weight,
+    words_over,
+)
 
 from helpers import CLASS_143214, words_up_to
 
@@ -240,6 +248,77 @@ def test_formulas_and_oracles_reject_n_below_one(count, n):
             count(shape, n)
 
 
+@pytest.mark.parametrize("count", [*FORMULAS_AND_ORACLES, novelli_recursion_check],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(2.5,), (2, 1.0), ("a",)])
+def test_formulas_and_oracles_reject_parts_that_are_not_integers(count, shape):
+    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+        count(shape, 3)
+
+
+def qrt_reading(shape, entries):
+    """Reading of the quasi-ribbon tableau of the given shape and
+    entries, or None when that filling is not a tableau."""
+    try:
+        return QuasiRibbonTableau(shape, entries).reading()
+    except ValueError:
+        return None
+
+
+def factorizations_by_weight_splits(w, alpha, beta):
+    """Oracle: a quasi-ribbon word is fixed by its shape and content,
+    and congruent words share a weight, so try one product uv for each
+    way of splitting the weight of ``w`` between u and v."""
+    wt = weight(w)
+    count = 0
+    for left in product(*(range(c + 1) for c in wt)):
+        if sum(left) != sum(alpha):
+            continue
+        u = qrt_reading(alpha, [k for k, c in enumerate(left, 1) for _ in range(c)])
+        v = qrt_reading(beta, [k for k, (c, l) in enumerate(zip(wt, left), 1)
+                               for _ in range(c - l)])
+        if u is not None and v is not None and hypo_congruent(w, u + v):
+            count += 1
+    return count
+
+
+def permutation_with_descents(alpha):
+    """The permutation of 1..|alpha| whose ascending runs have the
+    lengths of ``alpha``, each run below the one before."""
+    letters = []
+    top = sum(alpha) + 1
+    for part in alpha:
+        top -= part
+        letters.extend(range(top, top + part))
+    return tuple(letters)
+
+
+def shuffle_descent_compositions(alpha, beta):
+    """Oracle: the descent compositions of all C(a+b, a) shuffles of one
+    fixed sigma with descent composition ``alpha`` and one fixed tau on
+    the next letters with descent composition ``beta``, counted."""
+    sigma = permutation_with_descents(alpha)
+    tau = permutation_with_descents(beta)
+    assert descent_composition(sigma) == alpha and descent_composition(tau) == beta
+    tau = [a + len(sigma) for a in tau]
+    size = len(sigma) + len(tau)
+    found = Counter()
+    for places in combinations(range(size), len(sigma)):
+        left, right = iter(sigma), iter(tau)
+        found[descent_composition(
+            tuple(next(left) if h in places else next(right) for h in range(size))
+        )] += 1
+    return found
+
+
+def shape_splits(size):
+    """Every (alpha, beta) with |alpha| + |beta| = size."""
+    for left_len in range(size + 1):
+        for alpha in compositions(left_len):
+            for beta in compositions(size - left_len):
+                yield alpha, beta
+
+
 class TestFactorizationCount:
     def test_smallest_case(self):
         assert factorization_count((1, 1), (1,), (1,), 2) == 1
@@ -301,6 +380,44 @@ class TestFactorizationCount:
                         if hypo_congruent(qrw, u + v):
                             expected += 1
                 assert factorization_count(qrw, alpha, beta, 3) == expected
+
+
+    def test_matches_weight_split_oracle(self):
+        from hypoplactic.quasiribbon import is_quasi_ribbon_word
+
+        for n in range(1, 5):
+            for length in range(6):
+                for w in words_over(n, length):
+                    if not is_quasi_ribbon_word(w):
+                        continue
+                    for alpha, beta in shape_splits(length):
+                        assert factorization_count(w, alpha, beta, n) == \
+                            factorizations_by_weight_splits(w, alpha, beta)
+
+    def test_matches_shuffle_oracle(self):
+        for size in range(8):
+            roots = {gamma: highest_weight_qrw(gamma) for gamma in compositions(size)}
+            for alpha, beta in shape_splits(size):
+                found = shuffle_descent_compositions(alpha, beta)
+                for gamma, w in roots.items():
+                    assert factorization_count(w, alpha, beta, max(len(gamma), 1)) == \
+                        found[gamma]
+
+    def test_product_of_fundamentals_at_n_ones(self):
+        # F_alpha F_beta = sum over gamma of count(gamma) F_gamma, and a
+        # fundamental F_gamma at n ones counts the QRTs of shape gamma
+        for size in range(2, 9):
+            roots = {gamma: highest_weight_qrw(gamma) for gamma in compositions(size)}
+            for alpha, beta in shape_splits(size):
+                if not (alpha and beta):
+                    continue
+                coefficients = {
+                    gamma: factorization_count(w, alpha, beta, len(gamma))
+                    for gamma, w in roots.items()
+                }
+                for n in range(1, 6):
+                    assert sum(c * count_qrt(gamma, n) for gamma, c in coefficients.items()) == \
+                        count_qrt(alpha, n) * count_qrt(beta, n)
 
 
 class TestConjugacy:

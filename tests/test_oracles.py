@@ -19,6 +19,7 @@ against whole tableaux.
 
 from collections import Counter, deque
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -204,6 +205,13 @@ class TestLoweringTables:
         for u in words_up_to(5, 4):
             for n in range(1, 5):
                 tables_match(u, n)
+
+    def test_symbols_outside_the_alphabet(self):
+        # a symbol below 1 or above n brackets no label in 1..n-1
+        for n in range(1, 5):
+            for length in range(5):
+                for u in product(range(-1, n + 2), repeat=length):
+                    tables_match(u, n)
 
     def test_no_labels_below_bound_one(self):
         # labels run over 1..n-1, which is empty for n < 2
