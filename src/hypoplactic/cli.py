@@ -134,10 +134,9 @@ def _cmd_insert(args) -> int:
 def _cmd_component(args) -> int:
     w = words.parse_word(args.word)
     n = _infer_n(args, w)
-    kind = graphs.CRYSTAL if args.kind == "crystal" else graphs.QUASI_CRYSTAL
-    if args.overlay and kind != graphs.CRYSTAL:
+    if args.overlay and args.kind != graphs.CRYSTAL:
         raise _UsageError("--overlay only applies to --kind crystal")
-    component = graphs.explore_component(w, n, kind)
+    component = graphs.explore_component(w, n, args.kind)
     if args.format == "json":
         # the JSON form flags the quasi edges whether or not --overlay is given
         print(json.dumps(graphs.component_to_json_dict(component)))
@@ -161,6 +160,8 @@ def _cmd_congruent(args) -> int:
     u = words.parse_word(args.u)
     v = words.parse_word(args.v)
     n = _infer_n(args, u + v)
+    words.check_alphabet(u, n)
+    words.check_alphabet(v, n)
     if args.relation == "plac":
         verdict = young.plactic_congruent(u, v)
         extra = {}
@@ -189,8 +190,7 @@ def _cmd_congruent(args) -> int:
 def _cmd_highest_weight(args) -> int:
     w = words.parse_word(args.word)
     n = _infer_n(args, w)
-    kind = graphs.CRYSTAL if args.kind == "crystal" else graphs.QUASI_CRYSTAL
-    result = graphs.highest_weight_word(w, n, kind)
+    result = graphs.highest_weight_word(w, n, args.kind)
     if args.format == "json":
         print(json.dumps({"highest_weight": words.format_word(result)}))
     else:

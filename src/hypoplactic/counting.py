@@ -51,6 +51,8 @@ def _checked(shape, n: int, partition: bool = False) -> Composition:
     shape = validate_composition(shape)
     if partition and not is_partition(shape):
         raise ValueError(f"expected a partition, got {shape}")
+    if not isinstance(n, int):
+        raise ValueError(f"n must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("n must be at least 1")
     return shape

@@ -19,6 +19,7 @@ unique isomorphism.
 
 from __future__ import annotations
 
+from functools import cached_property
 from typing import Iterable, Iterator, Optional
 
 from .operators import _bracket_scan, quasi_f
@@ -111,34 +112,6 @@ def _walk(
     return order, index, rows, masks
 
 
-def _check_structure(root: Word, out: dict[Word, dict[int, Word]]) -> None:
-    """Check that ``out`` is shaped like a component of ``root``: every
-    edge target is a vertex, no edge enters the root, no vertex has two
-    in-edges with one label, and every vertex is reached from the root.
-    The edges of each reached vertex are checked by increasing label,
-    breadth-first from the root."""
-    if root not in out:
-        raise ValueError("root is not a vertex of the component")
-    reached = [root]
-    seen = {root}
-    labelled_targets = set()
-    for u in reached:
-        targets = out[u]
-        if not all(v in out for v in targets.values()):
-            raise ValueError("edge target outside the component")
-        for i, v in sorted(targets.items()):
-            if v == root:
-                raise ValueError("root must have no in-edges")
-            if (i, v) in labelled_targets:
-                raise ValueError("some vertex has two in-edges with one label")
-            labelled_targets.add((i, v))
-            if v not in seen:
-                seen.add(v)
-                reached.append(v)
-    if len(reached) != len(out):
-        raise ValueError("component is not reachable from its root")
-
-
 class Component:
     """A finite connected component with its unique highest-weight root.
 
@@ -151,16 +124,18 @@ class Component:
     ``out`` and ``vertices`` are built on first use and kept.
 
     The constructor is the one validator of a component: ``out`` maps
-    each vertex to its labelled out-neighbours, sinks included; the
-    graph must be reachable from the root with at most one in-edge per
-    label and none into the root, the root must be its own
-    highest-weight word, and every vertex's out-edges must be exactly
-    its lowering table over 1..n.
+    each vertex to its labelled out-neighbours, sinks included.  The
+    root must be a vertex of ``out`` and its own highest-weight word;
+    then one walk of the root's true component, stopped once it finds
+    more vertices than ``out`` has, must read for every vertex exactly
+    its out-edges in ``out`` and find exactly the vertices of ``out``.
+    The walk checks the component's structure on the way.
     """
 
     def __init__(self, kind: str, n: int, root: Word, out: dict[Word, dict[int, Word]]):
         kind = _normalize_kind(kind)
-        _check_structure(root, out)
+        if root not in out:
+            raise ValueError("root is not a vertex of the component")
         if highest_weight_word(root, n, kind) != root:
             raise ValueError(f"root {format_word(root)!r} is not a highest-weight word")
         # Walk the true component of the root; up to the first vertex
@@ -170,10 +145,12 @@ class Component:
         walk = _walk(root, n, kind, len(out))
         order, _, rows, _ = walk
         for u, row in zip(order, rows):
-            if out[u] != {i: order[j] for i, j in row}:
+            if out.get(u) != {i: order[j] for i, j in row}:
                 raise ValueError(
                     f"out-edges of {format_word(u)!r} are not its {kind} lowering edges"
                 )
+        if len(order) != len(out):
+            raise ValueError("vertices are not those the root reaches")
         self._set(kind, n, root, walk)
 
     @classmethod
@@ -189,24 +166,17 @@ class Component:
         self.n = n
         self.root = root
         self._order, self._index, self._rows, self._masks = walk
-        self._out = self._vertices = None
 
-    @property
+    @cached_property
     def out(self) -> dict[Word, dict[int, Word]]:
         """Each vertex's out-neighbours by label, vertices in canonical
         order and labels increasing."""
-        if self._out is None:
-            order = self._order
-            self._out = {
-                u: {i: order[j] for i, j in row} for u, row in zip(order, self._rows)
-            }
-        return self._out
+        order = self._order
+        return {u: {i: order[j] for i, j in row} for u, row in zip(order, self._rows)}
 
-    @property
+    @cached_property
     def vertices(self) -> frozenset[Word]:
-        if self._vertices is None:
-            self._vertices = frozenset(self._order)
-        return self._vertices
+        return frozenset(self._order)
 
     def _flagged_edges(self) -> Iterator[tuple[Word, int, Word, bool]]:
         """``(u, i, v, quasi)`` for every edge in sorted order, where
@@ -232,8 +202,9 @@ class Component:
 
     def canonical_order(self) -> list[Word]:
         """Vertices in breadth-first order from the root, out-edges
-        visited by increasing label.  Covers the whole component."""
-        return self._order
+        visited by increasing label.  Covers the whole component; the
+        list is a copy."""
+        return list(self._order)
 
     def index_of(self, w: Word) -> int:
         return self._index[w]

@@ -285,6 +285,8 @@ def _check_integers(w: Word) -> None:
 def check_alphabet(w: Word, n: int) -> None:
     """Reject a word that is not over 1..n: the one check of a word
     against an alphabet bound."""
+    if not isinstance(n, int):
+        raise ValueError(f"alphabet bound must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("alphabet bound must be at least 1")
     _check_integers(w)

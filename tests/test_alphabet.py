@@ -1,14 +1,29 @@
 """Every public entry point that takes a word and an alphabet bound n
 checks the word with ``words.check_alphabet``: a symbol that is not an
 integer, below 1 or above n is rejected with a ValueError, before any
-work is done."""
+work is done.  So is a bound that is not an integer, there and in the
+counts, which check n with ``counting._checked``."""
 
 import pytest
 
-from hypoplactic.counting import check_identity_xyxy, factorization_count, o_conjugacy_witness
+from hypoplactic.counting import (
+    check_identity_xyxy,
+    count_iso_plac_components_with_qrw,
+    count_iso_plac_components_with_qrw_brute,
+    count_qrt,
+    count_qrt_brute,
+    factorization_count,
+    hypo_class_members,
+    hypo_class_size,
+    hypo_class_size_brute,
+    novelli_recursion_check,
+    o_conjugacy_witness,
+)
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
+    component_from_json_dict,
+    component_to_json_dict,
     crystal_overlay,
     explore_component,
     highest_weight_word,
@@ -19,26 +34,26 @@ from hypoplactic.graphs import (
 from hypoplactic.quasiribbon import hypo_congruent, predicted_shape
 from hypoplactic.words import check_alphabet, format_word, schuetzenberger_involution, weight
 
-# (name, call taking one word w over the bound 2); two-word entry points
-# are called with w in each position.
+# (name, call taking one word w over the bound n, 2 unless given);
+# two-word entry points are called with w in each position.
 ENTRY_POINTS = [
-    ("check_alphabet", lambda w: check_alphabet(w, 2)),
-    ("schuetzenberger_involution", lambda w: schuetzenberger_involution(w, 2)),
-    ("highest_weight_word.crystal", lambda w: highest_weight_word(w, 2, CRYSTAL)),
-    ("highest_weight_word.quasi", lambda w: highest_weight_word(w, 2, QUASI_CRYSTAL)),
-    ("explore_component.crystal", lambda w: explore_component(w, 2, CRYSTAL)),
-    ("explore_component.quasi", lambda w: explore_component(w, 2, QUASI_CRYSTAL)),
-    ("crystal_overlay", lambda w: crystal_overlay(w, 2)),
-    ("plac_component_contains_qrw", lambda w: plac_component_contains_qrw(w, 2)),
-    ("sim_related.u", lambda w: sim_related(w, (1,), 2)),
-    ("sim_related.v", lambda w: sim_related((1,), w, 2)),
-    ("same_recording_ribbon.u", lambda w: same_recording_ribbon(w, (1,), 2)),
-    ("same_recording_ribbon.v", lambda w: same_recording_ribbon((1,), w, 2)),
-    ("factorization_count", lambda w: factorization_count(w, (len(w),) if w else (), (), 2)),
-    ("o_conjugacy_witness.u", lambda w: o_conjugacy_witness(w, (1,), 2)),
-    ("o_conjugacy_witness.v", lambda w: o_conjugacy_witness((1,), w, 2)),
-    ("check_identity_xyxy.x", lambda w: check_identity_xyxy(w, (1,), 2)),
-    ("check_identity_xyxy.y", lambda w: check_identity_xyxy((1,), w, 2)),
+    ("check_alphabet", lambda w, n=2: check_alphabet(w, n)),
+    ("schuetzenberger_involution", lambda w, n=2: schuetzenberger_involution(w, n)),
+    ("highest_weight_word.crystal", lambda w, n=2: highest_weight_word(w, n, CRYSTAL)),
+    ("highest_weight_word.quasi", lambda w, n=2: highest_weight_word(w, n, QUASI_CRYSTAL)),
+    ("explore_component.crystal", lambda w, n=2: explore_component(w, n, CRYSTAL)),
+    ("explore_component.quasi", lambda w, n=2: explore_component(w, n, QUASI_CRYSTAL)),
+    ("crystal_overlay", lambda w, n=2: crystal_overlay(w, n)),
+    ("plac_component_contains_qrw", lambda w, n=2: plac_component_contains_qrw(w, n)),
+    ("sim_related.u", lambda w, n=2: sim_related(w, (1,), n)),
+    ("sim_related.v", lambda w, n=2: sim_related((1,), w, n)),
+    ("same_recording_ribbon.u", lambda w, n=2: same_recording_ribbon(w, (1,), n)),
+    ("same_recording_ribbon.v", lambda w, n=2: same_recording_ribbon((1,), w, n)),
+    ("factorization_count", lambda w, n=2: factorization_count(w, (len(w),) if w else (), (), n)),
+    ("o_conjugacy_witness.u", lambda w, n=2: o_conjugacy_witness(w, (1,), n)),
+    ("o_conjugacy_witness.v", lambda w, n=2: o_conjugacy_witness((1,), w, n)),
+    ("check_identity_xyxy.x", lambda w, n=2: check_identity_xyxy(w, (1,), n)),
+    ("check_identity_xyxy.y", lambda w, n=2: check_identity_xyxy((1,), w, n)),
 ]
 CALLS = [call for _, call in ENTRY_POINTS]
 IDS = [name for name, _ in ENTRY_POINTS]
@@ -61,6 +76,44 @@ def test_rejects_symbols_above_n(call):
 def test_accepts_words_over_the_bound(call):
     call((2, 1))
     call(())
+
+
+# each shape is a partition, as the component counts need
+COUNTS = [
+    hypo_class_size,
+    hypo_class_members,
+    hypo_class_size_brute,
+    novelli_recursion_check,
+    count_qrt,
+    count_qrt_brute,
+    count_iso_plac_components_with_qrw,
+    count_iso_plac_components_with_qrw_brute,
+]
+NOT_INTEGERS = [2.0, 2.5, "3", None]
+
+
+@pytest.mark.parametrize("call", CALLS, ids=IDS)
+@pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)
+def test_rejects_bound_that_is_not_an_integer(call, n):
+    with pytest.raises(ValueError) as excinfo:
+        call((2, 1), n)
+    assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("count", COUNTS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)
+def test_counts_reject_bound_that_is_not_an_integer(count, n):
+    with pytest.raises(ValueError) as excinfo:
+        count((2, 1), n)
+    assert str(excinfo.value) == f"n must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)
+def test_json_component_rejects_bound_that_is_not_an_integer(n):
+    data = component_to_json_dict(explore_component((1, 2), 3, QUASI_CRYSTAL))
+    with pytest.raises(ValueError) as excinfo:
+        component_from_json_dict({**data, "n": n})
+    assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
 
 
 def test_rejects_bound_below_one():

@@ -1,3 +1,4 @@
+import doctest
 import json
 import re
 import shlex
@@ -180,6 +181,15 @@ class TestCongruent:
         code, out, _ = run(capsys, "congruent", "12", "21")
         assert code == 0 and out.strip() == "false"
 
+    @pytest.mark.parametrize("argv, message", [
+        (("12", "21", "--relation", "hypo", "-n", "1"), "word '12' has a symbol above 1"),
+        (("1", "1", "--relation", "plac", "-n", "0"), "alphabet bound must be at least 1"),
+        (("1", "13", "--relation", "sim", "-n", "2"), "word '13' has a symbol above 2"),
+    ], ids=["hypo", "plac", "sim"])
+    def test_checks_both_words_against_n(self, capsys, argv, message):
+        code, out, err = run(capsys, "congruent", *argv)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestHighestWeight:
     def test_quasi(self, capsys):
@@ -286,16 +296,27 @@ DOT_OUTSIDE_COMPONENT = [
 ]
 
 
+def readme_block(section, language):
+    """The first ``language`` code block of README's ``section``."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    return re.search(rf"## {section}.*?```{language}\n(.*?)```", readme, re.S).group(1)
+
+
 def readme_commands():
     """The argv of every ``hypoplactic`` line in README's command-line
     block, comments stripped."""
-    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
-    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
     return [
         shlex.split(line, comments=True)[1:]
-        for line in block.splitlines()
+        for line in readme_block("Command line", "sh").splitlines()
         if line.startswith("hypoplactic ")
     ]
+
+
+def test_readme_python_tour_runs():
+    """README's quick tour of the library, run as a doctest."""
+    tour = readme_block("Library layout", "python")
+    test = doctest.DocTestParser().get_doctest(tour, {}, "README quick tour", "README.md", 0)
+    assert doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF).run(test) == (0, 7)
 
 
 class TestUsage:

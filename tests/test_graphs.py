@@ -481,7 +481,8 @@ class TestSerialization:
                 {"from": "12", "label": 1, "to": "11"},
             ],
         }
-        with pytest.raises(ValueError, match="not reachable"):
+        # the walk reads 1 and 2 and finds no more
+        with pytest.raises(ValueError, match="^vertices are not those the root reaches$"):
             component_from_json_dict(data)
 
     @staticmethod
@@ -500,23 +501,31 @@ class TestSerialization:
             component_from_json_dict(data)
 
     def test_json_rejects_edge_target_outside_vertices(self):
+        # the edge is the root's lowering edge, but the walk finds 2,
+        # one vertex more than the graph has
         data = self._json("1", ["1"], [("1", 1, "2")])
-        with pytest.raises(ValueError, match="edge target outside"):
+        with pytest.raises(ValueError, match="^vertices are not those the root reaches$"):
             component_from_json_dict(data)
 
     def test_json_rejects_two_in_edges_with_one_label(self):
-        # 23 is the 1-target of both 12 and 13
+        # 23 is the 1-target of both 12 and 13; the root's edges are
+        # read first, and f_2 does not act on 11
         data = self._json(
             "11",
             ["11", "12", "13", "23"],
             [("11", 1, "12"), ("11", 2, "13"), ("12", 1, "23"), ("13", 1, "23")],
         )
-        with pytest.raises(ValueError, match="two in-edges with one label"):
+        with pytest.raises(
+            ValueError, match="^out-edges of '11' are not its quasi-crystal lowering edges$"
+        ):
             component_from_json_dict(data)
 
     def test_json_rejects_in_edge_to_root(self):
+        # f_2(2) = 3, so the edge 2 -2-> 1 is no lowering edge
         data = self._json("1", ["1", "2"], [("1", 1, "2"), ("2", 2, "1")])
-        with pytest.raises(ValueError, match="root must have no in-edges"):
+        with pytest.raises(
+            ValueError, match="^out-edges of '2' are not its quasi-crystal lowering edges$"
+        ):
             component_from_json_dict(data)
 
     def test_json_rejects_edges_of_the_other_kind(self):

@@ -63,6 +63,7 @@ from hypoplactic.words import (
     has_inversion,
     weight,
     words_of_weight,
+    words_over,
 )
 from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
 
@@ -507,9 +508,10 @@ class TestPublicConstructor:
         with pytest.raises(ValueError, match="root '2' is not a highest-weight word"):
             Component(kind, 2, (2,), {(2,): {}})
 
-    def test_structure_is_checked_before_kind(self):
-        # the graph is not reachable, and its edges do not lower either
-        with pytest.raises(ValueError, match="not reachable"):
+    def test_edges_are_checked_before_the_vertex_set(self):
+        # the graph is not reachable, and its edges do not lower either:
+        # the walk reads the root's edges before it counts the vertices
+        with pytest.raises(ValueError, match="^out-edges of '1' are not its crystal lowering edges$"):
             Component(CRYSTAL, 2, (1,), {(1,): {}, (2, 2): {}})
 
     def test_walks_no_further_than_the_given_graph(self, monkeypatch):
@@ -526,6 +528,51 @@ class TestPublicConstructor:
         with pytest.raises(ValueError, match="out-edges of '111111' are not"):
             Component(QUASI_CRYSTAL, 6, root, {root: {}})
         assert scanned == [root]
+
+    def test_rejects_every_one_step_mutation(self):
+        """Every component over n <= 3 up to length 4, both kinds: its
+        own graph is accepted, and each graph one step from it is
+        rejected: one edge dropped, one edge sent to another vertex of
+        the component, one word the root does not reach added with its
+        own lowering edges, or one vertex dropped, with or without the
+        edges into it."""
+        table = {CRYSTAL: kashiwara_lowerings, QUASI_CRYSTAL: quasi_lowerings}
+        rejected = 0
+
+        def rejects(out):
+            nonlocal rejected
+            with pytest.raises(ValueError):
+                Component(c.kind, n, c.root, out)
+            rejected += 1
+
+        for n, c in explored_components(3, 4):
+            assert_rebuilt_component_equal(c)
+            vertices = c.canonical_order()
+            for u, i, v in c.edges:
+                out = {x: dict(edges) for x, edges in c.out.items()}
+                del out[u][i]
+                rejects(out)
+                for t in vertices:
+                    if t != v:
+                        out[u][i] = t
+                        rejects(out)
+            for w in words_over(n, len(c.root)):
+                if w not in c.vertices:
+                    rejects({**c.out, w: table[c.kind](w, n)})
+            for u in vertices:
+                rejects({x: edges for x, edges in c.out.items() if x != u})
+                rejects({
+                    x: {i: v for i, v in edges.items() if v != u}
+                    for x, edges in c.out.items() if x != u
+                })
+        assert rejected == 5938
+
+    def test_canonical_order_is_a_copy(self):
+        c = explore_component((1, 2), 3, QUASI_CRYSTAL)
+        assert len(c) == 6
+        c.canonical_order().append((9, 9))
+        assert len(c) == 6
+        assert c.canonical_order() == list(c.out)
 
 
 class TestShapeIsTheIsomorphismKey:
