@@ -9,8 +9,9 @@ TooLargeError instead of running unbounded.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, combinations_with_replacement
 from math import comb
+from operator import add
 from typing import Iterator, Optional
 
 from .graphs import CRYSTAL, explore_component
@@ -150,30 +151,21 @@ def count_qrt(shape: Composition, n: int) -> int:
 
 
 def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTableau]:
-    """Generate every quasi-ribbon tableau of the given shape over 1..n."""
+    """Generate every quasi-ribbon tableau of the given shape over 1..n,
+    in lexicographic order of the entries.
+
+    Raising each cell of a multiset over 1..n-l+1, taken in sorted
+    order, by the number of row breaks before it gives each tableau of
+    a shape with l parts exactly once: the bijection behind
+    ``count_qrt``.  An integer n below 1 is the empty alphabet, over
+    which only the empty shape has a tableau.
+    """
     shape = validate_composition(shape)
-    total = sum(shape)
-    if total == 0:
-        yield QuasiRibbonTableau()
-        return
-    breaks = set(accumulate(shape[:-1]))
-    # Depth-first in lexicographic order of the entries, with an explicit
-    # stack: ``candidate`` is the next value to try at position
-    # len(entries), and a row break forces a strict rise across it.
-    entries: list[int] = []
-    candidate = 1
-    while True:
-        if candidate <= n:
-            entries.append(candidate)
-            if len(entries) == total:
-                yield QuasiRibbonTableau(shape, tuple(entries))
-                candidate = entries.pop() + 1
-            elif len(entries) in breaks:
-                candidate += 1
-        elif entries:
-            candidate = entries.pop() + 1
-        else:
-            return
+    if not isinstance(n, int):
+        _checked(shape, n)  # raises the counts' integer error
+    row_of_cell = [r for r, part in enumerate(shape) for _ in range(part)]
+    for cells in combinations_with_replacement(range(1, n - len(shape) + 2), sum(shape)):
+        yield QuasiRibbonTableau(shape, tuple(map(add, cells, row_of_cell)))
 
 
 def count_qrt_brute(shape: Composition, n: int) -> int:

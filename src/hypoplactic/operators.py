@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .words import Word, has_inversion
+from .words import Word, _check_bound, has_inversion
 
 
 class BracketReduction(NamedTuple):
@@ -156,7 +156,10 @@ def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
 
 def _lowerings(u: Word, n: int, quasi: bool) -> dict[int, Word]:
     """The lowering table of ``u`` from one bracket scan; the quasi
-    table leaves out the labels whose bracket cancelled a pair."""
+    table leaves out the labels whose bracket cancelled a pair.  An
+    integer ``n`` below 2 has no labels, so its table is empty."""
+    if not isinstance(n, int):
+        _check_bound(n)  # raises the bound's integer error
     plus, cancelled = _bracket_scan(u, n)
     skip = cancelled if quasi else 0
     lowered = {}

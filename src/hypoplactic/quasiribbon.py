@@ -12,6 +12,14 @@ cell to its bottom-right cell; this path order is how fillings are
 stored (a shape plus one flat entry tuple).  A quasi-ribbon tableau is
 exactly a filling whose path entries never decrease and strictly
 increase at each row boundary.
+
+The quasi-ribbon tableau and the recording ribbon share this storage,
+its checks of shape and cell count, and their rows, rendering, JSON
+form, equality, hash and repr through one private base,
+``_RibbonFilling``; each adds only its own rule along the path.  The
+quasi-ribbon tabloid shares ``young``'s column base with the tabloid,
+and ``qr_column_reading`` is ``young.column_reading`` under a second
+name.
 """
 
 from __future__ import annotations
@@ -23,11 +31,19 @@ from .words import (
     Composition,
     Word,
     _check_integers,
+    is_standard,
     max_decreasing_factorization,
     validate_composition,
     weight,
 )
-from .young import YoungTableau, _render_grid, plactic_relations
+from .young import (
+    YoungTableau,
+    _ColumnFilling,
+    _render_grid,
+    _top_aligned_rows,
+    plactic_relations,
+)
+from .young import column_reading as qr_column_reading
 
 
 def _breaks(shape: Composition) -> frozenset[int]:
@@ -77,178 +93,137 @@ def _ribbon_ascii(shape: Composition, flat: tuple) -> str:
     return _render_grid(cells)
 
 
-class QuasiRibbonTableau:
-    """A ribbon filling with non-decreasing rows and strictly increasing
-    columns.  Consequently all copies of a symbol a share one row j with
-    j <= a, and row h never holds a symbol below h."""
+class _RibbonFilling:
+    """A ribbon shape and its cells in path order: the storage, checks,
+    row split, rendering and JSON form that the quasi-ribbon tableau and
+    the recording ribbon share.  A subclass names its cells (``_CELL``,
+    for the count error) and checks them along the path
+    (``_check_path``); a filling equals only a filling of its own
+    class."""
 
-    __slots__ = ("shape", "entries")
+    __slots__ = ("shape", "_cells")
 
-    def __init__(self, shape=(), entries=()):
+    def __init__(self, shape, cells):
         shape = validate_composition(shape)
-        entries = tuple(entries)
-        if len(entries) != sum(shape):
-            raise ValueError("entry count does not match shape")
-        if any(not isinstance(a, int) or a < 1 for a in entries):
-            raise ValueError("entries must be positive integers")
-        breaks = _breaks(shape)
-        for idx in range(1, len(entries)):
-            if entries[idx] < entries[idx - 1]:
-                raise ValueError("entries must be non-decreasing along the ribbon")
-            if idx in breaks and entries[idx] == entries[idx - 1]:
-                raise ValueError("entries must strictly increase down each column")
+        cells = tuple(cells)
+        if len(cells) != sum(shape):
+            raise ValueError(f"{self._CELL} count does not match shape")
+        self._check_path(cells, _breaks(shape))
         self.shape = shape
-        self.entries = entries
+        self._cells = cells
 
     @classmethod
-    def _trusted(cls, shape: Composition, entries: Word) -> "QuasiRibbonTableau":
-        """Wrap a shape and entries that insertion built, which are
-        valid by construction; checks nothing."""
+    def _trusted(cls, shape: Composition, cells: Word):
+        """Wrap a shape and cells that insertion built, which are valid
+        by construction; checks nothing."""
         t = object.__new__(cls)
         t.shape = shape
-        t.entries = entries
+        t._cells = cells
         return t
 
     @classmethod
-    def from_rows(cls, rows) -> "QuasiRibbonTableau":
+    def from_rows(cls, rows):
         rows = [tuple(row) for row in rows]
         return cls(tuple(len(r) for r in rows), tuple(a for r in rows for a in r))
 
     @property
     def rows(self) -> list[tuple]:
-        return _split_rows(self.shape, self.entries)
-
-    @property
-    def columns(self) -> list[tuple]:
-        return _ribbon_columns(self.shape, self.entries)
+        return _split_rows(self.shape, self._cells)
 
     @property
     def size(self) -> int:
-        return len(self.entries)
-
-    def reading(self) -> Word:
-        return qr_column_reading(self)
+        return len(self._cells)
 
     def ascii(self) -> str:
-        return _ribbon_ascii(self.shape, self.entries)
+        return _ribbon_ascii(self.shape, self._cells)
 
     def to_json_dict(self) -> dict:
         return {"shape": list(self.shape), "rows": [list(r) for r in self.rows]}
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "QuasiRibbonTableau":
-        qrt = cls.from_rows(data["rows"])
-        if list(qrt.shape) != list(data["shape"]):
+    def from_json_dict(cls, data: dict):
+        filling = cls.from_rows(data["rows"])
+        if list(filling.shape) != list(data["shape"]):
             raise ValueError("shape field disagrees with rows")
-        return qrt
+        return filling
 
     def __eq__(self, other):
         return (
-            isinstance(other, QuasiRibbonTableau)
+            type(other) is type(self)
             and self.shape == other.shape
-            and self.entries == other.entries
+            and self._cells == other._cells
         )
 
     def __hash__(self):
-        return hash((self.shape, self.entries))
+        return hash((self.shape, self._cells))
 
     def __repr__(self):
-        return f"QuasiRibbonTableau({list(self.shape)}, {list(self.entries)})"
+        return f"{type(self).__name__}({list(self.shape)}, {list(self._cells)})"
 
 
-class RecordingRibbon:
+class QuasiRibbonTableau(_RibbonFilling):
+    """A ribbon filling with non-decreasing rows and strictly increasing
+    columns.  Consequently all copies of a symbol a share one row j with
+    j <= a, and row h never holds a symbol below h."""
+
+    __slots__ = ()
+    _CELL = "entry"
+    entries = _RibbonFilling._cells  # the path cells under their public name
+
+    def __init__(self, shape=(), entries=()):
+        _RibbonFilling.__init__(self, shape, entries)
+
+    @staticmethod
+    def _check_path(entries: tuple, breaks: frozenset[int]) -> None:
+        if any(not isinstance(a, int) or a < 1 for a in entries):
+            raise ValueError("entries must be positive integers")
+        for idx in range(1, len(entries)):
+            if entries[idx] < entries[idx - 1]:
+                raise ValueError("entries must be non-decreasing along the ribbon")
+            if idx in breaks and entries[idx] == entries[idx - 1]:
+                raise ValueError("entries must strictly increase down each column")
+
+    @property
+    def columns(self) -> list[tuple]:
+        return _ribbon_columns(self.shape, self.entries)
+
+    def reading(self) -> Word:
+        return qr_column_reading(self)
+
+
+class RecordingRibbon(_RibbonFilling):
     """A ribbon filled with 1..N, rows increasing left to right and
     columns increasing bottom to top (the reverse of a tableau column)."""
 
-    __slots__ = ("shape", "labels")
+    __slots__ = ()
+    _CELL = "label"
+    labels = _RibbonFilling._cells  # the path cells under their public name
 
     def __init__(self, shape=(), labels=()):
-        shape = validate_composition(shape)
-        labels = tuple(labels)
-        if len(labels) != sum(shape):
-            raise ValueError("label count does not match shape")
-        if sorted(labels) != list(range(1, len(labels) + 1)):
+        _RibbonFilling.__init__(self, shape, labels)
+
+    @staticmethod
+    def _check_path(labels: tuple, breaks: frozenset[int]) -> None:
+        if not is_standard(labels):
             raise ValueError("labels must be exactly 1..N")
-        breaks = _breaks(shape)
         for idx in range(1, len(labels)):
             if idx in breaks:
                 if labels[idx] > labels[idx - 1]:
                     raise ValueError("labels must decrease down each column")
             elif labels[idx] < labels[idx - 1]:
                 raise ValueError("labels must increase along each row")
-        self.shape = shape
-        self.labels = labels
-
-    @classmethod
-    def _trusted(cls, shape: Composition, labels: Word) -> "RecordingRibbon":
-        """Wrap a shape and labels that insertion built, which are
-        valid by construction; checks nothing."""
-        r = object.__new__(cls)
-        r.shape = shape
-        r.labels = labels
-        return r
-
-    @classmethod
-    def from_rows(cls, rows) -> "RecordingRibbon":
-        rows = [tuple(row) for row in rows]
-        return cls(tuple(len(r) for r in rows), tuple(a for r in rows for a in r))
-
-    @property
-    def rows(self) -> list[tuple]:
-        return _split_rows(self.shape, self.labels)
-
-    @property
-    def size(self) -> int:
-        return len(self.labels)
-
-    def ascii(self) -> str:
-        return _ribbon_ascii(self.shape, self.labels)
 
     def to_json_dict(self) -> dict:
-        return {
-            "shape": list(self.shape),
-            "rows": [list(r) for r in self.rows],
-            "standard": True,
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "RecordingRibbon":
-        ribbon = cls.from_rows(data["rows"])
-        if list(ribbon.shape) != list(data["shape"]):
-            raise ValueError("shape field disagrees with rows")
-        return ribbon
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, RecordingRibbon)
-            and self.shape == other.shape
-            and self.labels == other.labels
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.labels))
-
-    def __repr__(self):
-        return f"RecordingRibbon({list(self.shape)}, {list(self.labels)})"
+        return {**super().to_json_dict(), "standard": True}
 
 
-class QuasiRibbonTabloid:
+class QuasiRibbonTabloid(_ColumnFilling):
     """Strictly increasing columns glued into a staircase: the top cell
     of each column sits in the same row as the bottom cell of the column
-    before it.  Rows are unconstrained."""
+    before it.  Rows are unconstrained.  Read down each column and
+    column by column, the cells follow the ribbon's path."""
 
-    __slots__ = ("columns",)
-
-    def __init__(self, columns=()):
-        columns = tuple(tuple(col) for col in columns)
-        for col in columns:
-            if not col:
-                raise ValueError("columns must be non-empty")
-            if any(not isinstance(a, int) or a < 1 for a in col):
-                raise ValueError("entries must be positive integers")
-            if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
-                raise ValueError("columns must strictly increase downwards")
-        self.columns = columns
+    __slots__ = ()
 
     @property
     def shape(self) -> Composition:
@@ -263,10 +238,6 @@ class QuasiRibbonTabloid:
             start += len(col) - 1
         return tuple(counts)
 
-    @property
-    def size(self) -> int:
-        return sum(len(col) for col in self.columns)
-
     def is_quasi_ribbon_tableau(self) -> bool:
         """Whether consecutive columns also satisfy the row condition."""
         cols = self.columns
@@ -279,30 +250,7 @@ class QuasiRibbonTabloid:
         return QuasiRibbonTableau(self.shape, flat)
 
     def ascii(self) -> str:
-        cells = {}
-        start = 0
-        for c, col in enumerate(self.columns):
-            for k, a in enumerate(col):
-                cells[start + k, c] = a
-            start += len(col) - 1
-        return _render_grid(cells)
-
-    def __eq__(self, other):
-        return isinstance(other, QuasiRibbonTabloid) and self.columns == other.columns
-
-    def __hash__(self):
-        return hash(self.columns)
-
-    def __repr__(self):
-        return f"QuasiRibbonTabloid({[list(c) for c in self.columns]})"
-
-
-def qr_column_reading(t) -> Word:
-    """Read columns left to right, each bottom to top.
-
-    Accepts a QuasiRibbonTabloid or a QuasiRibbonTableau.
-    """
-    return tuple(a for col in t.columns for a in reversed(col))
+        return _ribbon_ascii(self.shape, tuple(a for col in self.columns for a in col))
 
 
 def qr_tabloid_of(w: Word) -> QuasiRibbonTabloid:
@@ -459,10 +407,4 @@ def slide_up_slide_left(T: QuasiRibbonTableau) -> YoungTableau:
     P; applied to the standard filling of the same shape it yields the
     recording tableau Q.
     """
-    cols = T.columns
-    nrows = max((len(c) for c in cols), default=0)
-    rows = [
-        [col[r] for col in cols if len(col) > r]
-        for r in range(nrows)
-    ]
-    return YoungTableau(rows)
+    return YoungTableau(_top_aligned_rows(T.columns))

@@ -282,13 +282,19 @@ def _check_integers(w: Word) -> None:
             raise ValueError("entries must be positive integers")
 
 
-def check_alphabet(w: Word, n: int) -> None:
-    """Reject a word that is not over 1..n: the one check of a word
-    against an alphabet bound."""
+def _check_bound(n: int) -> None:
+    """Reject an alphabet bound that is not an integer of at least 1:
+    the one check of a bound."""
     if not isinstance(n, int):
         raise ValueError(f"alphabet bound must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("alphabet bound must be at least 1")
+
+
+def check_alphabet(w: Word, n: int) -> None:
+    """Reject a word that is not over 1..n: the one check of a word
+    against an alphabet bound."""
+    _check_bound(n)
     _check_integers(w)
     if w and min(w) < 1:
         raise ValueError(f"word symbols must be positive: {format_word(w)!r}")

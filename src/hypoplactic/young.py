@@ -3,14 +3,17 @@ correspondence, Yamanouchi words, and the plactic congruence.
 
 Tableaux are stored row by row, top row first, in the top-left-aligned
 (English) convention.  Tabloids are stored column by column since that
-is how they are read.
+is how they are read.  The column storage, its checks, equality, hash
+and repr live in one private base, ``_ColumnFilling``, which this
+module's ``Tabloid`` and the quasi-ribbon tabloid share; ``column_reading``
+reads either, and reads the quasi-ribbon tableau too.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .words import Word, max_decreasing_factorization
+from .words import Word, _check_bound, is_standard, max_decreasing_factorization
 
 
 def _render_grid(cells: dict[tuple[int, int], int]) -> str:
@@ -28,6 +31,13 @@ def _render_grid(cells: dict[tuple[int, int], int]) -> str:
         ]
         lines.append(" ".join(row).rstrip())
     return "\n".join(lines)
+
+
+def _top_aligned_rows(columns) -> list[list[int]]:
+    """The rows of ``columns`` hung from one top row, each row packed
+    to the left."""
+    height = max(map(len, columns), default=0)
+    return [[col[r] for col in columns if len(col) > r] for r in range(height)]
 
 
 class YoungTableau:
@@ -113,17 +123,15 @@ class StandardYoungTableau(YoungTableau):
 
     def __init__(self, rows=()):
         super().__init__(rows)
-        entries = self.entries()
-        if sorted(entries) != list(range(1, len(entries) + 1)):
+        if not is_standard(self.entries()):
             raise ValueError("standard tableau must contain 1..N exactly once")
 
 
-class Tabloid:
-    """Concatenated columns, each strictly increasing top to bottom.
-
-    Unlike a tableau there is no constraint across a row and no
-    constraint on column heights.
-    """
+class _ColumnFilling:
+    """Columns, each strictly increasing top to bottom, stored left to
+    right: the storage and checks that the tabloids share.  A subclass
+    fixes how the columns are laid out; a filling equals only a filling
+    of its own class."""
 
     __slots__ = ("columns",)
 
@@ -142,26 +150,40 @@ class Tabloid:
     def size(self) -> int:
         return sum(len(col) for col in self.columns)
 
+    def __eq__(self, other):
+        return type(other) is type(self) and self.columns == other.columns
+
+    def __hash__(self):
+        return hash(self.columns)
+
+    def __repr__(self):
+        return f"{type(self).__name__}({[list(c) for c in self.columns]})"
+
+
+class Tabloid(_ColumnFilling):
+    """Concatenated columns, each strictly increasing top to bottom.
+
+    Unlike a tableau there is no constraint across a row and no
+    constraint on column heights.
+    """
+
+    __slots__ = ()
+
     def is_tableau(self) -> bool:
         """Whether the top-aligned column array is a valid Young tableau."""
         heights = [len(col) for col in self.columns]
         if any(heights[j] < heights[j + 1] for j in range(len(heights) - 1)):
             return False
-        for r in range(heights[0] if heights else 0):
-            row = [col[r] for col in self.columns if len(col) > r]
-            if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
-                return False
-        return True
+        return all(
+            row[c] <= row[c + 1]
+            for row in _top_aligned_rows(self.columns)
+            for c in range(len(row) - 1)
+        )
 
     def to_tableau(self) -> YoungTableau:
         if not self.is_tableau():
             raise ValueError("tabloid is not a Young tableau")
-        heights = [len(col) for col in self.columns]
-        rows = [
-            [col[r] for col in self.columns if len(col) > r]
-            for r in range(heights[0] if heights else 0)
-        ]
-        return YoungTableau(rows)
+        return YoungTableau(_top_aligned_rows(self.columns))
 
     def ascii(self) -> str:
         cells = {
@@ -177,15 +199,6 @@ class Tabloid:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Tabloid":
         return cls(data["columns"])
-
-    def __eq__(self, other):
-        return isinstance(other, Tabloid) and self.columns == other.columns
-
-    def __hash__(self):
-        return hash(self.columns)
-
-    def __repr__(self):
-        return f"Tabloid({[list(c) for c in self.columns]})"
 
 
 def _row_insert(rows: list[list[int]], a: int) -> tuple[int, int]:
@@ -246,7 +259,9 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
 def column_reading(t) -> Word:
     """Read columns left to right, each bottom to top.
 
-    Accepts a Tabloid or a YoungTableau.
+    Accepts a YoungTableau or anything with columns listed top to
+    bottom: a Tabloid, a QuasiRibbonTabloid or a QuasiRibbonTableau.
+    ``quasiribbon.qr_column_reading`` is this same function.
     """
     if isinstance(t, YoungTableau):
         t = t.to_tabloid()
@@ -284,8 +299,7 @@ def plactic_congruent(u: Word, v: Word) -> bool:
 def plactic_relations(n: int) -> list[tuple[Word, Word]]:
     """All defining relations acb=cab (a<=b<c) and bac=bca (a<b<=c)
     with symbols at most ``n``."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_bound(n)
     pairs: list[tuple[Word, Word]] = []
     for c in range(2, n + 1):
         for b in range(1, c):

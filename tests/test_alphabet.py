@@ -18,6 +18,7 @@ from hypoplactic.counting import (
     hypo_class_size_brute,
     novelli_recursion_check,
     o_conjugacy_witness,
+    qr_tableaux_of_shape,
 )
 from hypoplactic.graphs import (
     CRYSTAL,
@@ -31,8 +32,10 @@ from hypoplactic.graphs import (
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.quasiribbon import hypo_congruent, predicted_shape
+from hypoplactic.operators import kashiwara_lowerings, quasi_lowerings
+from hypoplactic.quasiribbon import hypo_congruent, hypoplactic_relations, predicted_shape
 from hypoplactic.words import check_alphabet, format_word, schuetzenberger_involution, weight
+from hypoplactic.young import plactic_relations
 
 # (name, call taking one word w over the bound n, 2 unless given);
 # two-word entry points are called with w in each position.
@@ -78,6 +81,10 @@ def test_accepts_words_over_the_bound(call):
     call(())
 
 
+def listed_qr_tableaux_of_shape(shape, n):
+    return list(qr_tableaux_of_shape(shape, n))
+
+
 # each shape is a partition, as the component counts need
 COUNTS = [
     hypo_class_size,
@@ -88,6 +95,7 @@ COUNTS = [
     count_qrt_brute,
     count_iso_plac_components_with_qrw,
     count_iso_plac_components_with_qrw_brute,
+    listed_qr_tableaux_of_shape,
 ]
 NOT_INTEGERS = [2.0, 2.5, "3", None]
 
@@ -106,6 +114,35 @@ def test_counts_reject_bound_that_is_not_an_integer(count, n):
     with pytest.raises(ValueError) as excinfo:
         count((2, 1), n)
     assert str(excinfo.value) == f"n must be an integer, got {n!r}"
+
+
+# entry points that take a bound but check no word against it: the
+# lowering tables accept symbols outside 1..n, and an integer n below 2
+# gives them no labels
+BOUND_ONLY = [
+    ("plactic_relations", plactic_relations),
+    ("hypoplactic_relations", hypoplactic_relations),
+    ("kashiwara_lowerings", lambda n: kashiwara_lowerings((1, 2), n)),
+    ("quasi_lowerings", lambda n: quasi_lowerings((1, 2), n)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in BOUND_ONLY],
+                         ids=[name for name, _ in BOUND_ONLY])
+@pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)
+def test_bound_only_calls_reject_bound_that_is_not_an_integer(call, n):
+    with pytest.raises(ValueError) as excinfo:
+        call(n)
+    assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("relations", [plactic_relations, hypoplactic_relations],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("n", [0, -1])
+def test_relations_reject_bound_below_one(relations, n):
+    with pytest.raises(ValueError) as excinfo:
+        relations(n)
+    assert str(excinfo.value) == "alphabet bound must be at least 1"
 
 
 @pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)

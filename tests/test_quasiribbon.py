@@ -25,7 +25,7 @@ from hypoplactic.quasiribbon import (
     standard_ribbon,
 )
 from hypoplactic.words import compositions, parse_word, weight
-from hypoplactic.young import StandardYoungTableau, YoungTableau, plactic_relations, rsk
+from hypoplactic.young import StandardYoungTableau, Tabloid, YoungTableau, plactic_relations, rsk
 
 from helpers import words_up_to
 
@@ -98,6 +98,12 @@ class TestRecordingRibbon:
         assert data["standard"] is True
         assert RecordingRibbon.from_json_dict(data) == EQ44
 
+    def test_ascii_staircase(self):
+        assert EQ44.ascii() == (
+            " 1  2  9\n       8\n       3  4  6  7 11\n                   5 10"
+        )
+        assert RecordingRibbon().ascii() == "(empty)"
+
 
 class TestQuasiRibbonTabloid:
     def test_shape_of_staircase(self):
@@ -108,10 +114,30 @@ class TestQuasiRibbonTabloid:
         with pytest.raises(ValueError):
             QuasiRibbonTabloid([(2, 1)])
 
+    def test_ascii_staircase(self):
+        assert EQ43_TABLOID.ascii() == "1 5 2\n    3\n    6 2 4 5 4\n            5 7"
+        assert QuasiRibbonTabloid().ascii() == "(empty)"
+
     def test_tableau_detection(self):
         assert not qr_tabloid_of((4, 3, 3)).is_quasi_ribbon_tableau()
         reading = qr_column_reading(EQ42)
         assert qr_tabloid_of(reading).to_tableau() == EQ42
+
+
+class TestAcrossClasses:
+    def test_repr(self):
+        assert repr(QuasiRibbonTableau((2, 1), (1, 2, 3))) == "QuasiRibbonTableau([2, 1], [1, 2, 3])"
+        assert repr(RecordingRibbon((2, 1), (2, 3, 1))) == "RecordingRibbon([2, 1], [2, 3, 1])"
+        assert repr(QuasiRibbonTabloid([(1, 3), (2,)])) == "QuasiRibbonTabloid([[1, 3], [2]])"
+
+    def test_equality_holds_only_within_one_class(self):
+        columns = [(1, 3), (2,)]
+        assert Tabloid(columns) != QuasiRibbonTabloid(columns)
+        assert QuasiRibbonTabloid(columns) != Tabloid(columns)
+        assert QuasiRibbonTableau((1,), (1,)) != RecordingRibbon((1,), (1,))
+        assert RecordingRibbon((1,), (1,)) != QuasiRibbonTableau((1,), (1,))
+        assert QuasiRibbonTabloid(columns) == QuasiRibbonTabloid(columns)
+        assert RecordingRibbon((1,), (1,)) == RecordingRibbon((1,), (1,))
 
 
 class TestReadings:

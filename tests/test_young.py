@@ -75,6 +75,19 @@ class TestTabloid:
         t = Tabloid(EQ33_COLUMNS)
         assert Tabloid.from_json_dict(t.to_json_dict()) == t
 
+    def test_ascii_hangs_columns_from_the_top(self):
+        assert Tabloid(EQ33_COLUMNS).ascii() == "2 1 4 1 2\n5 3   2\n  4   4\n  6   5"
+        assert Tabloid().ascii() == "(empty)"
+
+    def test_repr(self):
+        assert repr(Tabloid([(1, 3), (2,)])) == "Tabloid([[1, 3], [2]])"
+        assert repr(YoungTableau([[1, 2], [3]])) == "YoungTableau([[1, 2], [3]])"
+        assert repr(StandardYoungTableau([[1, 2], [3]])) == "StandardYoungTableau([[1, 2], [3]])"
+
+    def test_standard_tableau_equals_tableau_with_the_same_rows(self):
+        assert YoungTableau([[1, 2], [3]]) == StandardYoungTableau([[1, 2], [3]])
+        assert StandardYoungTableau([[1, 2], [3]]) == YoungTableau([[1, 2], [3]])
+
 
 class TestSchenstedInsert:
     def test_bump_step(self):
