@@ -4,7 +4,8 @@ Every count here is an exact integer; nothing in this module touches
 floating point.  The brute-force routines enumerate words of a fixed
 weight (multiset permutations), which is sound because congruent words
 always share a weight.  Enumerations refuse oversized inputs with
-TooLargeError instead of running unbounded.
+TooLargeError instead of running unbounded.  A bound n below 1 is
+rejected by ``words._check_bound``, never read as an empty alphabet.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .quasiribbon import (
 from .words import (
     Composition,
     Word,
+    _check_bound,
     check_alphabet,
     coarsenings,
     descents_of_composition,
@@ -52,10 +54,7 @@ def _checked(shape, n: int, partition: bool = False) -> Composition:
     shape = validate_composition(shape)
     if partition and not is_partition(shape):
         raise ValueError(f"expected a partition, got {shape}")
-    if not isinstance(n, int):
-        raise ValueError(f"n must be an integer, got {n!r}")
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_bound(n)
     return shape
 
 
@@ -157,12 +156,9 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
     Raising each cell of a multiset over 1..n-l+1, taken in sorted
     order, by the number of row breaks before it gives each tableau of
     a shape with l parts exactly once: the bijection behind
-    ``count_qrt``.  An integer n below 1 is the empty alphabet, over
-    which only the empty shape has a tableau.
+    ``count_qrt``.
     """
-    shape = validate_composition(shape)
-    if not isinstance(n, int):
-        _checked(shape, n)  # raises the counts' integer error
+    shape = _checked(shape, n)
     row_of_cell = [r for r, part in enumerate(shape) for _ in range(part)]
     for cells in combinations_with_replacement(range(1, n - len(shape) + 2), sum(shape)):
         yield QuasiRibbonTableau(shape, tuple(map(add, cells, row_of_cell)))

@@ -33,6 +33,7 @@ from .words import (
     Composition,
     WeakComposition,
     Word,
+    _check_symbols,
     _require_standard,
     check_alphabet,
     composition_from_descents,
@@ -295,6 +296,7 @@ def is_highest_weight_hypo(w: Word) -> bool:
     """Whether no quasi raising operator acts on ``w``: the word holds
     every symbol 1..max(w) and has an i-inversion for each i below
     max(w)."""
+    _check_symbols(w)
     if not w:
         return True
     m = max(w)

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .words import Word, _check_bound, has_inversion
+from .words import Word, _check_bound, _check_label, has_inversion
 
 
 class BracketReduction(NamedTuple):
@@ -54,8 +54,7 @@ def bracket_reduce(w: Word, i: int) -> BracketReduction:
     close (pop) when an unmatched i+1 stands to their left, otherwise
     they survive.
     """
-    if i < 1:
-        raise ValueError("i must be at least 1")
+    _check_label(i)
     plus: list[int] = []
     minus: list[int] = []
     for pos, a in enumerate(w, start=1):
@@ -156,10 +155,9 @@ def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
 
 def _lowerings(u: Word, n: int, quasi: bool) -> dict[int, Word]:
     """The lowering table of ``u`` from one bracket scan; the quasi
-    table leaves out the labels whose bracket cancelled a pair.  An
-    integer ``n`` below 2 has no labels, so its table is empty."""
-    if not isinstance(n, int):
-        _check_bound(n)  # raises the bound's integer error
+    table leaves out the labels whose bracket cancelled a pair.  The
+    bound 1 has no labels, so its table is empty."""
+    _check_bound(n)
     plus, cancelled = _bracket_scan(u, n)
     skip = cancelled if quasi else 0
     lowered = {}

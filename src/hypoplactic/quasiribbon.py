@@ -19,7 +19,8 @@ form, equality, hash and repr through one private base,
 ``_RibbonFilling``; each adds only its own rule along the path.  The
 quasi-ribbon tabloid shares ``young``'s column base with the tabloid,
 and ``qr_column_reading`` is ``young.column_reading`` under a second
-name.
+name.  Words, entries and inserted symbols are checked by
+``words._check_symbols``, shapes by ``words.validate_composition``.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from itertools import accumulate
 from .words import (
     Composition,
     Word,
-    _check_integers,
+    _check_symbols,
     is_standard,
     max_decreasing_factorization,
     validate_composition,
@@ -175,8 +176,7 @@ class QuasiRibbonTableau(_RibbonFilling):
 
     @staticmethod
     def _check_path(entries: tuple, breaks: frozenset[int]) -> None:
-        if any(not isinstance(a, int) or a < 1 for a in entries):
-            raise ValueError("entries must be positive integers")
+        _check_symbols(entries)
         for idx in range(1, len(entries)):
             if entries[idx] < entries[idx - 1]:
                 raise ValueError("entries must be non-decreasing along the ribbon")
@@ -261,6 +261,7 @@ def qr_tabloid_of(w: Word) -> QuasiRibbonTabloid:
 
 def is_quasi_ribbon_word(w: Word) -> bool:
     """Whether ``w`` is the column reading of a quasi-ribbon tableau."""
+    _check_symbols(w)
     factors = max_decreasing_factorization(w)
     return all(factors[j][0] <= factors[j + 1][-1] for j in range(len(factors) - 1))
 
@@ -292,8 +293,7 @@ def kt_insert(T: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
     place, ``a`` extends that row, and the remainder of the ribbon hangs
     below the new cell.
     """
-    if a < 1:
-        raise ValueError("symbols must be positive")
+    _check_symbols((a,))
     cut = bisect_right(T.entries, a)
     return QuasiRibbonTableau(
         _shape_after_insert(T.shape, cut),
@@ -304,10 +304,8 @@ def kt_insert(T: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
 def _sort_positions(w: Word) -> tuple[list[int], Composition]:
     """Positions of ``w`` sorted stably by symbol, so that
     ``[h + 1 for h in order]`` is std(w)^-1, and the quasi-ribbon shape
-    of ``w``: the descent composition of std(w)^-1."""
+    of ``w``: the descent composition of std(w)^-1.  Callers check ``w``."""
     order = sorted(range(len(w)), key=w.__getitem__)
-    if order and w[order[0]] < 1:
-        raise ValueError("symbols must be positive")
     shape: list[int] = []
     prev = len(w)
     for h in order:
@@ -319,13 +317,6 @@ def _sort_positions(w: Word) -> tuple[list[int], Composition]:
     return order, tuple(shape)
 
 
-def _checked_sort_positions(w: Word) -> tuple[list[int], Composition]:
-    """``_sort_positions`` of a word whose symbols are not yet known to
-    be integers."""
-    _check_integers(w)
-    return _sort_positions(w)  # rejects symbols below 1
-
-
 def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     """The pair that inserting ``w`` symbol by symbol with ``kt_insert``
     builds, read off directly (Novelli): the tableau holds sorted(w) and
@@ -334,7 +325,8 @@ def hypo_rsk(w: Word) -> tuple[QuasiRibbonTableau, RecordingRibbon]:
     symbols are positive integers, so they are built without
     re-checking their entries.
     """
-    order, shape = _checked_sort_positions(w)
+    _check_symbols(w)
+    order, shape = _sort_positions(w)
     return (
         QuasiRibbonTableau._trusted(shape, tuple([w[h] for h in order])),
         RecordingRibbon._trusted(shape, tuple([h + 1 for h in order])),
@@ -358,7 +350,8 @@ def hypo_rsk_inverse(T: QuasiRibbonTableau, R: RecordingRibbon) -> Word:
 def predicted_shape(w: Word) -> Composition:
     """Shape of the quasi-ribbon tableau of ``w``, computed without
     building it: the descent composition of the inverse of std(w)."""
-    return _checked_sort_positions(w)[1]
+    _check_symbols(w)
+    return _sort_positions(w)[1]
 
 
 def hypo_congruent(u: Word, v: Word) -> bool:

@@ -23,6 +23,11 @@ empty string is the empty word.  Compositions are always written as
 comma-separated integers.  Every symbol or part is written in the ASCII
 digits 0-9 alone, with optional spaces around it ("1, 2"): signs,
 underscores and other scripts' digits are rejected.
+
+The package's input checks live here, one per concept: the private
+``_check_symbols``, ``_check_bound`` and ``_check_label``, and
+``validate_composition`` and ``check_alphabet``.  No other module tests
+an input itself, so a bad input reads the same in every layer.
 """
 
 from __future__ import annotations
@@ -45,15 +50,14 @@ def weight(w: Word) -> WeakComposition:
     if not w:
         return ()
     try:
-        if min(w) < 1:
-            _check_integers(w)  # the integer error comes first, as in check_alphabet
-            raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
-        counts = [0] * max(w)
-        for a in w:
-            counts[a - 1] += 1
+        if min(w) >= 1:
+            counts = [0] * max(w)
+            for a in w:
+                counts[a - 1] += 1
+            return tuple(counts)
     except TypeError:  # a symbol that cannot be compared or index the counts
-        raise ValueError("entries must be positive integers") from None
-    return tuple(counts)
+        pass
+    _check_symbols(w)  # raises: only a symbol that is not a positive integer stops the count
 
 
 def weight_leq(a: WeakComposition, b: WeakComposition) -> bool:
@@ -191,8 +195,7 @@ def max_decreasing_factorization(w: Word) -> list[Word]:
 
 def has_inversion(w: Word, i: int) -> bool:
     """Whether ``w`` contains a symbol i+1 somewhere left of a symbol i."""
-    if i < 1:
-        raise ValueError("i must be at least 1")
+    _check_label(i)
     seen_upper = False
     for a in w:
         if a == i + 1:
@@ -240,8 +243,7 @@ def parse_word(text: str) -> Word:
     symbols = _ascii_integers(body)
     if symbols is None:
         raise ValueError(f"cannot parse word {text!r}")
-    if any(a < 1 for a in symbols):
-        raise ValueError(f"word symbols must be positive: {text!r}")
+    _check_symbols(symbols)
     return symbols
 
 
@@ -261,9 +263,7 @@ def parse_composition(text: str) -> Composition:
     parts = _ascii_integers(text)
     if parts is None:
         raise ValueError(f"cannot parse composition {text!r}")
-    if any(p < 1 for p in parts):
-        raise ValueError(f"composition parts must be positive: {text!r}")
-    return parts
+    return validate_composition(parts)
 
 
 def format_composition(a: Composition) -> str:
@@ -274,12 +274,17 @@ def is_partition(a: Composition) -> bool:
     return all(a[h] >= a[h + 1] for h in range(len(a) - 1)) and all(p >= 1 for p in a)
 
 
-def _check_integers(w: Word) -> None:
-    """Reject a word holding a symbol that is not an integer: the one
-    integer test of a word's symbols."""
+def _check_symbols(w: Word) -> None:
+    """The one test of symbols, for a word, row or column: reject a
+    symbol that is not an integer, then one below 1."""
+    below_one = False
     for a in w:
         if not isinstance(a, int):
             raise ValueError("entries must be positive integers")
+        if a < 1:
+            below_one = True
+    if below_one:
+        raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
 
 
 def _check_bound(n: int) -> None:
@@ -291,13 +296,19 @@ def _check_bound(n: int) -> None:
         raise ValueError("alphabet bound must be at least 1")
 
 
+def _check_label(i: int) -> None:
+    """Reject an operator label that is not an integer of at least 1."""
+    if not isinstance(i, int):
+        raise ValueError(f"i must be an integer, got {i!r}")
+    if i < 1:
+        raise ValueError("i must be at least 1")
+
+
 def check_alphabet(w: Word, n: int) -> None:
     """Reject a word that is not over 1..n: the one check of a word
     against an alphabet bound."""
     _check_bound(n)
-    _check_integers(w)
-    if w and min(w) < 1:
-        raise ValueError(f"word symbols must be positive: {format_word(w)!r}")
+    _check_symbols(w)
     if w and max(w) > n:
         raise ValueError(f"word {format_word(w)!r} has a symbol above {n}")
 
@@ -313,6 +324,7 @@ def validate_composition(shape) -> Composition:
 
 def words_over(n: int, length: int) -> Iterator[Word]:
     """All words of the given length over 1..n, lexicographically."""
+    _check_bound(n)
     return product(range(1, n + 1), repeat=length)
 
 

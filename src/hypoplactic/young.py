@@ -6,14 +6,15 @@ Tableaux are stored row by row, top row first, in the top-left-aligned
 is how they are read.  The column storage, its checks, equality, hash
 and repr live in one private base, ``_ColumnFilling``, which this
 module's ``Tabloid`` and the quasi-ribbon tabloid share; ``column_reading``
-reads either, and reads the quasi-ribbon tableau too.
+reads either, and reads the quasi-ribbon tableau too.  Rows, columns,
+words and inserted symbols are checked by ``words._check_symbols``.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from .words import Word, _check_bound, is_standard, max_decreasing_factorization
+from .words import Word, _check_bound, _check_symbols, is_standard, max_decreasing_factorization
 
 
 def _render_grid(cells: dict[tuple[int, int], int]) -> str:
@@ -51,8 +52,7 @@ class YoungTableau:
         for r, row in enumerate(rows):
             if not row:
                 raise ValueError("tableau rows must be non-empty")
-            if any(not isinstance(a, int) or a < 1 for a in row):
-                raise ValueError("tableau entries must be positive integers")
+            _check_symbols(row)
             if any(row[c] > row[c + 1] for c in range(len(row) - 1)):
                 raise ValueError(f"row {r + 1} is not non-decreasing")
             if r > 0:
@@ -140,8 +140,7 @@ class _ColumnFilling:
         for col in columns:
             if not col:
                 raise ValueError("tabloid columns must be non-empty")
-            if any(not isinstance(a, int) or a < 1 for a in col):
-                raise ValueError("tabloid entries must be positive integers")
+            _check_symbols(col)
             if any(col[r] >= col[r + 1] for r in range(len(col) - 1)):
                 raise ValueError("tabloid columns must strictly increase downwards")
         self.columns = columns
@@ -224,8 +223,7 @@ def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
     there; otherwise it replaces the leftmost strictly greater entry and
     the displaced entry is inserted into the next row down.
     """
-    if a < 1:
-        raise ValueError("symbols must be positive")
+    _check_symbols((a,))
     rows = [list(row) for row in T.rows]
     _row_insert(rows, a)
     return YoungTableau(rows)
@@ -239,8 +237,7 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
     valid by construction once the symbols are positive integers, so
     they are built without re-checking their entries.
     """
-    if any(not isinstance(a, int) or a < 1 for a in w):
-        raise ValueError("tableau entries must be positive integers")
+    _check_symbols(w)
     p_rows: list[list[int]] = []
     q_rows: list[list[int]] = []
     for i, a in enumerate(w, start=1):
@@ -280,6 +277,7 @@ def is_tableau_word(w: Word) -> bool:
 
 def is_yamanouchi(w: Word) -> bool:
     """Whether every suffix of ``w`` has non-increasing weight."""
+    _check_symbols(w)
     if not w:
         return True
     m = max(w)

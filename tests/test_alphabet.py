@@ -1,11 +1,23 @@
-"""Every public entry point that takes a word and an alphabet bound n
-checks the word with ``words.check_alphabet``: a symbol that is not an
+"""Every input check goes through the private checks in ``words``, so
+a bad input reads the same whichever layer it reaches first.
+
+A public entry point that takes a word and an alphabet bound n checks
+the word with ``words.check_alphabet``: a symbol that is not an
 integer, below 1 or above n is rejected with a ValueError, before any
-work is done.  So is a bound that is not an integer, there and in the
-counts, which check n with ``counting._checked``."""
+work is done.  An entry point without a bound, such as a tableau
+constructor or an insertion, checks its symbols with
+``words._check_symbols``.  Every bound that is not an integer of at
+least 1 is rejected by ``words._check_bound``, also where no word is
+checked against it, and every operator label that is not an integer
+of at least 1 by ``words._check_label``; a test below lists each public
+callable that takes a bound n."""
+
+import inspect
+from functools import reduce
 
 import pytest
 
+import hypoplactic
 from hypoplactic.counting import (
     check_identity_xyxy,
     count_iso_plac_components_with_qrw,
@@ -23,19 +35,56 @@ from hypoplactic.counting import (
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
+    Component,
     component_from_json_dict,
     component_to_json_dict,
     crystal_overlay,
     explore_component,
     highest_weight_word,
+    involution_edge_check,
+    is_highest_weight_hypo,
     plac_component_contains_qrw,
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.operators import kashiwara_lowerings, quasi_lowerings
-from hypoplactic.quasiribbon import hypo_congruent, hypoplactic_relations, predicted_shape
-from hypoplactic.words import check_alphabet, format_word, schuetzenberger_involution, weight
-from hypoplactic.young import plactic_relations
+from hypoplactic.operators import (
+    bracket_reduce,
+    kashiwara_counts,
+    kashiwara_e,
+    kashiwara_f,
+    kashiwara_lowerings,
+    quasi_counts,
+    quasi_e,
+    quasi_f,
+    quasi_lowerings,
+)
+from hypoplactic.quasiribbon import (
+    QuasiRibbonTableau,
+    QuasiRibbonTabloid,
+    hypo_congruent,
+    hypo_rsk,
+    hypoplactic_relations,
+    is_quasi_ribbon_word,
+    kt_insert,
+    predicted_shape,
+)
+from hypoplactic.words import (
+    check_alphabet,
+    format_word,
+    has_inversion,
+    schuetzenberger_involution,
+    weight,
+    words_over,
+)
+from hypoplactic.young import (
+    StandardYoungTableau,
+    Tabloid,
+    YoungTableau,
+    is_yamanouchi,
+    plactic_relations,
+    rsk,
+    schensted_insert,
+)
 
 # (name, call taking one word w over the bound n, 2 unless given);
 # two-word entry points are called with w in each position.
@@ -61,9 +110,34 @@ ENTRY_POINTS = [
 CALLS = [call for _, call in ENTRY_POINTS]
 IDS = [name for name, _ in ENTRY_POINTS]
 
+# (name, call taking one word w and no bound); the fillings take w as
+# their one row or column, and the one-symbol insertions insert w
+# symbol by symbol
+SYMBOLS_ONLY = [
+    ("weight", weight),
+    ("predicted_shape", predicted_shape),
+    ("hypo_congruent", lambda w: hypo_congruent(w, w)),
+    ("hypo_congruent.u", lambda w: hypo_congruent(w, (1, 2))),
+    ("hypo_congruent.v", lambda w: hypo_congruent((1, 2), w)),
+    ("is_yamanouchi", is_yamanouchi),
+    ("is_quasi_ribbon_word", is_quasi_ribbon_word),
+    ("is_highest_weight_hypo", is_highest_weight_hypo),
+    ("YoungTableau", lambda w: YoungTableau([w])),
+    ("StandardYoungTableau", lambda w: StandardYoungTableau([w])),
+    ("Tabloid", lambda w: Tabloid([w])),
+    ("QuasiRibbonTabloid", lambda w: QuasiRibbonTabloid([w])),
+    ("QuasiRibbonTableau", lambda w: QuasiRibbonTableau((len(w),), w)),
+    ("schensted_insert", lambda w: reduce(schensted_insert, w, YoungTableau())),
+    ("kt_insert", lambda w: reduce(kt_insert, w, QuasiRibbonTableau())),
+    ("rsk", rsk),
+    ("hypo_rsk", hypo_rsk),
+]
+SYMBOL_CALLS = [call for _, call in SYMBOLS_ONLY] + CALLS
+SYMBOL_IDS = [name for name, _ in SYMBOLS_ONLY] + IDS
 
-@pytest.mark.parametrize("call", CALLS, ids=IDS)
-@pytest.mark.parametrize("w", [(0,), (1, -3)], ids=str)
+
+@pytest.mark.parametrize("call", SYMBOL_CALLS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("w", [(0,), (1, -3), (2, -1)], ids=str)
 def test_rejects_symbols_below_one(call, w):
     with pytest.raises(ValueError, match="word symbols must be positive"):
         call(w)
@@ -113,17 +187,18 @@ def test_rejects_bound_that_is_not_an_integer(call, n):
 def test_counts_reject_bound_that_is_not_an_integer(count, n):
     with pytest.raises(ValueError) as excinfo:
         count((2, 1), n)
-    assert str(excinfo.value) == f"n must be an integer, got {n!r}"
+    assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
 
 
 # entry points that take a bound but check no word against it: the
-# lowering tables accept symbols outside 1..n, and an integer n below 2
-# gives them no labels
+# lowering tables accept symbols outside 1..n, and the others take no
+# word
 BOUND_ONLY = [
     ("plactic_relations", plactic_relations),
     ("hypoplactic_relations", hypoplactic_relations),
     ("kashiwara_lowerings", lambda n: kashiwara_lowerings((1, 2), n)),
     ("quasi_lowerings", lambda n: quasi_lowerings((1, 2), n)),
+    ("words_over", lambda n: words_over(n, 1)),
 ]
 
 
@@ -136,13 +211,51 @@ def test_bound_only_calls_reject_bound_that_is_not_an_integer(call, n):
     assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
 
 
-@pytest.mark.parametrize("relations", [plactic_relations, hypoplactic_relations],
-                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("call", [call for _, call in BOUND_ONLY],
+                         ids=[name for name, _ in BOUND_ONLY])
 @pytest.mark.parametrize("n", [0, -1])
-def test_relations_reject_bound_below_one(relations, n):
+def test_bound_only_calls_reject_bound_below_one(call, n):
     with pytest.raises(ValueError) as excinfo:
-        relations(n)
+        call(n)
     assert str(excinfo.value) == "alphabet bound must be at least 1"
+
+
+# entry points that take a component's bound: the constructor checks n
+# as it checks the root against it, and ``involution_edge_check``
+# compares n with the bound ``c.n`` that the constructor checked
+COMPONENT_BOUND = [
+    ("Component", lambda n: Component(QUASI_CRYSTAL, n, (), {(): {}})),
+    ("involution_edge_check",
+     lambda n: involution_edge_check(explore_component((1, 2), 3, QUASI_CRYSTAL), n)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in COMPONENT_BOUND],
+                         ids=[name for name, _ in COMPONENT_BOUND])
+@pytest.mark.parametrize("n", [*NOT_INTEGERS, 0, -1], ids=repr)
+def test_component_calls_reject_bound_that_is_not_the_component_bound(call, n):
+    with pytest.raises(ValueError, match="^alphabet bound (must be|disagrees with the component)"):
+        call(n)
+
+
+def takes_a_bound(obj):
+    try:
+        return "n" in inspect.signature(obj).parameters
+    except ValueError:  # a builtin type, such as an exception, has no signature
+        return False
+
+
+def test_every_public_callable_taking_a_bound_is_listed():
+    """A new public function with a bound n must join one of the lists
+    above, so that a test checks its bound."""
+    listed = {name.split(".")[0] for name in IDS}
+    listed |= {f.__name__.removeprefix("listed_") for f in COUNTS}
+    listed |= {name for name, _ in BOUND_ONLY + COMPONENT_BOUND}
+    public = {name: getattr(hypoplactic, name) for name in dir(hypoplactic)
+              if not name.startswith("_")}
+    taking_a_bound = {name for name, obj in public.items()
+                      if callable(obj) and takes_a_bound(obj)}
+    assert taking_a_bound - listed == set()
 
 
 @pytest.mark.parametrize("n", NOT_INTEGERS, ids=repr)
@@ -194,19 +307,37 @@ def test_formats_symbols_that_are_not_ints_in_the_comma_form(w, text):
     assert format_word(w) == text
 
 
-@pytest.mark.parametrize("call", [
-    weight,
-    predicted_shape,
-    lambda w: hypo_congruent(w, w),
-    lambda w: hypo_congruent(w, (1, 2)),
-    lambda w: hypo_congruent((1, 2), w),
-    *CALLS,
-], ids=[
-    "weight", "predicted_shape", "hypo_congruent", "hypo_congruent.u", "hypo_congruent.v", *IDS,
-])
-@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2"), (1.5, 0)], ids=str)
+@pytest.mark.parametrize("call", SYMBOL_CALLS, ids=SYMBOL_IDS)
+@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2"), (1.5, 0), ("2",)], ids=str)
 def test_rejects_symbols_that_are_not_integers(call, w):
     """The integer error comes first, also when a symbol is below 1."""
     with pytest.raises(ValueError) as excinfo:
         call(w)
     assert str(excinfo.value) == "entries must be positive integers"
+
+
+PER_LABEL = [
+    has_inversion,
+    bracket_reduce,
+    kashiwara_e,
+    kashiwara_f,
+    kashiwara_counts,
+    quasi_e,
+    quasi_f,
+    quasi_counts,
+]
+
+
+@pytest.mark.parametrize("op", PER_LABEL, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("i, message", [
+    (0, "i must be at least 1"),
+    (1.5, "i must be an integer, got 1.5"),
+    (2.0, "i must be an integer, got 2.0"),
+    ("1", "i must be an integer, got '1'"),
+], ids=["0", "1.5", "2.0", "'1'"])
+def test_per_label_operators_reject_labels_that_are_not_positive_integers(op, i, message):
+    """A label that is not an integer is rejected rather than acting as
+    no operator at all."""
+    with pytest.raises(ValueError) as excinfo:
+        op((1, 2), i)
+    assert str(excinfo.value) == message

@@ -180,10 +180,12 @@ class TestCountQrt:
 
     def test_generation_order_and_completeness(self):
         # oracle: every filling over 1..n the constructor accepts, in
-        # lexicographic order
+        # lexicographic order; there is no alphabet 1..0 to fill from
         for total in range(6):
             for shape in compositions(total):
-                for n in range(4):
+                with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+                    next(qr_tableaux_of_shape(shape, 0))
+                for n in range(1, 4):
                     expected = []
                     for entries in product(range(1, n + 1), repeat=total):
                         try:
@@ -244,7 +246,7 @@ def test_formulas_and_oracles_reject_n_below_one(count, n):
     nothing over an empty alphabet, and before its enumeration cap,
     which weight 11 is past."""
     for shape in [(1,), (11,)]:
-        with pytest.raises(ValueError, match="n must be at least 1"):
+        with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
             count(shape, n)
 
 

@@ -215,10 +215,14 @@ class TestLoweringTables:
                     tables_match(u, n)
 
     def test_no_labels_below_bound_one(self):
-        # labels run over 1..n-1, which is empty for n < 2
+        # labels run over 1..n-1, which is empty for n = 1; a bound
+        # below 1 is rejected
         for u in words_up_to(4, 3):
-            for n in range(-2, 2):
-                assert kashiwara_lowerings(u, n) == quasi_lowerings(u, n) == {}
+            assert kashiwara_lowerings(u, 1) == quasi_lowerings(u, 1) == {}
+            for n in range(-2, 1):
+                for table in (kashiwara_lowerings, quasi_lowerings):
+                    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
+                        table(u, n)
 
 
 class TestBracketScanMask:
@@ -405,12 +409,12 @@ class TestInsertionOutputsAgainstPublicConstructors:
         assert_insertion_outputs_pass_public_checks(word_and_n[0])
 
     @pytest.mark.parametrize("insert, w, message", [
-        (hypo_rsk, (0, 1), "symbols must be positive"),
-        (hypo_rsk, (2, -1), "symbols must be positive"),
+        (hypo_rsk, (0, 1), "word symbols must be positive: '0,1'"),
+        (hypo_rsk, (2, -1), "word symbols must be positive: '2,-1'"),
         (hypo_rsk, (1.5, 2), "entries must be positive integers"),
-        (rsk, (0, 1), "tableau entries must be positive integers"),
-        (rsk, (2, -1), "tableau entries must be positive integers"),
-        (rsk, (1.5, 2), "tableau entries must be positive integers"),
+        (rsk, (0, 1), "word symbols must be positive: '0,1'"),
+        (rsk, (2, -1), "word symbols must be positive: '2,-1'"),
+        (rsk, (1.5, 2), "entries must be positive integers"),
     ])
     def test_rejects_symbols_that_are_not_positive_integers(self, insert, w, message):
         with pytest.raises(ValueError) as excinfo:
