@@ -26,6 +26,7 @@ from .words import (
     Composition,
     Word,
     _check_bound,
+    _check_weak_composition,
     check_alphabet,
     coarsenings,
     descents_of_composition,
@@ -68,9 +69,8 @@ def _guard_weight(shape: Composition) -> None:
 
 def multinomial(total: int, parts) -> int:
     """Exact multinomial coefficient total! / (parts[0]! * ...)."""
-    parts = tuple(parts)
-    if total < 0 or any(p < 0 for p in parts):
-        raise ValueError("multinomial arguments must be non-negative")
+    parts = _check_weak_composition(parts)
+    _check_weak_composition((total,))
     if sum(parts) != total:
         raise ValueError(f"parts {parts} do not sum to {total}")
     result = 1

@@ -60,9 +60,20 @@ def _normalize_kind(kind: str) -> str:
     raise ValueError(f"unknown graph kind {kind!r}")
 
 
+def _key(w: Word, n: int) -> int:
+    """The walk's key of a word over 1..n: its symbols as digits of
+    ``n.bit_length()`` bits each, the first symbol most significant.
+    Within one length keys sort exactly like the words they key."""
+    b = n.bit_length()
+    key = 0
+    for a in w:
+        key = key << b | a
+    return key
+
+
 def _walk(
     root: Word, n: int, kind: str, limit: float = float("inf")
-) -> tuple[list[Word], dict[Word, int], list[tuple], list[int]]:
+) -> tuple[list[Word], dict[int, int], list[tuple], list[int]]:
     """Explore and number the component of ``root`` breadth-first,
     following each vertex's lowering edges by increasing label.
 
@@ -70,34 +81,40 @@ def _walk(
     every label i, and the mask of the labels whose bracket cancelled a
     pair, which are the labels of the vertex's i-inversions.  A crystal
     vertex lowers along every label with a surviving "+"; a quasi-crystal
-    vertex only along those outside its mask.  The walk checks every edge
-    it follows: no edge enters the root and no vertex has two in-edges
-    with one label.  It returns the visit order, the numbering, each
-    vertex's out-edges as ``(label, target index)`` pairs and each
-    vertex's mask.  Once more than ``limit`` vertices are found, it
-    stops after the vertex whose edges it is reading; the later
-    vertices then have no pairs and no mask."""
+    vertex only along those outside its mask.  Vertices are numbered by
+    their ``_key``: f_i at position p raises one digit from i to i+1 <= n,
+    which adds the digit's unit to the key, so a target is found by one
+    addition and its word is built only when it is new.  The walk checks
+    every edge it follows: no edge enters the root and no vertex has two
+    in-edges with one label.  It returns the visit order, the numbering
+    by key, each vertex's out-edges as ``(label, target index)`` pairs
+    and each vertex's mask.  Once more than ``limit`` vertices are
+    found, it stops after the vertex whose edges it is reading; the
+    later vertices then have no pairs and no mask."""
     quasi = kind == QUASI_CRYSTAL
-    labels = range(1, n)
+    labels = [(i, 1 << i) for i in range(1, n)]
+    b = n.bit_length()
+    units = [1 << b * p for p in reversed(range(len(root)))]  # per position
     order = [root]
-    index = {root: 0}
+    keys = [_key(root, n)]
+    index = {keys[0]: 0}
     rows: list[tuple[tuple[int, int], ...]] = []
     masks: list[int] = []
     in_labels = [0]  # per visited vertex, the labels of its in-edges as a bit mask
-    for u in order:
+    for u, key in zip(order, keys):
         plus, cancelled = _bracket_scan(u, n)
         skip = cancelled if quasi else 0
         row = []
-        for i in labels:
+        for i, bit in labels:
             pos = plus[i]
-            if pos < 0 or skip >> i & 1:
+            if pos < 0 or skip & bit:
                 continue
-            v = u[:pos] + (i + 1,) + u[pos + 1:]
-            bit = 1 << i
-            j = index.get(v)
+            target = key + units[pos]
+            j = index.get(target)
             if j is None:
-                j = index[v] = len(order)
-                order.append(v)
+                j = index[target] = len(order)
+                order.append(u[:pos] + (i + 1,) + u[pos + 1:])
+                keys.append(target)
                 in_labels.append(bit)
             elif j == 0:
                 raise ValueError("root must have no in-edges")
@@ -118,11 +135,12 @@ class Component:
 
     A component keeps one store of its edges: the breadth-first visit
     order from the root (out-edges followed by increasing label), the
-    numbering that order gives, each vertex's out-edges as
-    ``(label, target index)`` pairs, and each vertex's i-inversion
-    labels as a bit mask, from the bracket scan that found its edges.
-    ``out``, ``vertices`` and ``edges`` are read off that store;
-    ``out`` and ``vertices`` are built on first use and kept.
+    numbering that order gives, by the walk's integer key of each
+    vertex, each vertex's out-edges as ``(label, target index)`` pairs,
+    and each vertex's i-inversion labels as a bit mask, from the
+    bracket scan that found its edges.  ``out``, ``vertices``, ``edges``
+    and the numbering by word behind ``index_of`` are read off that
+    store; all but ``edges`` are built on first use and kept.
 
     The constructor is the one validator of a component: ``out`` maps
     each vertex to its labelled out-neighbours, sinks included.  The
@@ -166,7 +184,7 @@ class Component:
         self.kind = kind
         self.n = n
         self.root = root
-        self._order, self._index, self._rows, self._masks = walk
+        self._order, self._keys, self._rows, self._masks = walk
 
     @cached_property
     def out(self) -> dict[Word, dict[int, Word]]:
@@ -183,9 +201,10 @@ class Component:
         """``(u, i, v, quasi)`` for every edge in sorted order, where
         ``quasi`` says whether the quasi operator also performs it: i is
         not among the i-inversion labels of u.  Every edge of a
-        quasi-crystal component is one."""
+        quasi-crystal component is one.  The vertices all have one
+        length, so sorting their keys sorts them."""
         order, rows, masks = self._order, self._rows, self._masks
-        for k in sorted(range(len(order)), key=order.__getitem__):
+        for _, k in sorted(self._keys.items()):
             u, mask = order[k], masks[k]
             for i, j in rows[k]:
                 yield u, i, order[j], not mask >> i & 1
@@ -207,7 +226,14 @@ class Component:
         list is a copy."""
         return list(self._order)
 
+    @cached_property
+    def _index(self) -> dict[Word, int]:
+        return {v: k for k, v in enumerate(self._order)}
+
     def index_of(self, w: Word) -> int:
+        """The visit index of ``w``; KeyError for a word outside the
+        component.  Looked up by the word itself, never by a key, which
+        is defined only for words over 1..n."""
         return self._index[w]
 
     def signature(self) -> tuple:
@@ -242,11 +268,11 @@ def explore_component(w: Word, n: int, kind: str) -> Component:
     ``highest_weight_word``, then walk breadth-first from the root along
     the lowering edges of the chosen kind, in increasing label order,
     reading each vertex's edges off one bracket scan.  Reaching ``w``
-    checks the root."""
+    checks the root; ``w`` is over 1..n, so its key stands for it."""
     kind = _normalize_kind(kind)
     root = highest_weight_word(w, n, kind)
     walk = _walk(root, n, kind)
-    if w not in walk[1]:
+    if _key(w, n) not in walk[1]:
         raise AssertionError(
             f"{format_word(w)!r} is not reached from its root {format_word(root)!r}"
         )

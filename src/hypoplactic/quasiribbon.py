@@ -256,6 +256,7 @@ class QuasiRibbonTabloid(_ColumnFilling):
 def qr_tabloid_of(w: Word) -> QuasiRibbonTabloid:
     """The staircase tabloid whose columns are the maximal decreasing
     factors of ``w`` (read bottom to top)."""
+    _check_symbols(w)
     return QuasiRibbonTabloid(tuple(reversed(f)) for f in max_decreasing_factorization(w))
 
 

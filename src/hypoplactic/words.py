@@ -25,9 +25,10 @@ digits 0-9 alone, with optional spaces around it ("1, 2"): signs,
 underscores and other scripts' digits are rejected.
 
 The package's input checks live here, one per concept: the private
-``_check_symbols``, ``_check_bound`` and ``_check_label``, and
-``validate_composition`` and ``check_alphabet``.  No other module tests
-an input itself, so a bad input reads the same in every layer.
+``_check_symbols``, ``_check_bound``, ``_check_label`` and
+``_check_weak_composition``, and ``validate_composition`` and
+``check_alphabet``.  No other module tests an input itself, so a bad
+input reads the same in every layer.
 """
 
 from __future__ import annotations
@@ -93,6 +94,7 @@ def is_standard(w: Word) -> bool:
 
 
 def _require_standard(w: Word) -> None:
+    _check_symbols(w)
     if not is_standard(w):
         raise ValueError(f"expected a standard word, got {format_word(w)!r}")
 
@@ -172,8 +174,7 @@ def coarsenings(a: Composition) -> list[Composition]:
 
 def compositions(total: int) -> Iterator[Composition]:
     """All compositions of ``total``, via subsets of {1..total-1}."""
-    if total < 0:
-        raise ValueError("total must be non-negative")
+    _check_weak_composition((total,))
     if total == 0:
         yield ()
         return
@@ -322,6 +323,16 @@ def validate_composition(shape) -> Composition:
     return shape
 
 
+def _check_weak_composition(parts) -> WeakComposition:
+    """Return ``parts`` as a tuple, rejecting parts that are not
+    non-negative integers: the one check of a weak composition, and of
+    a total, which is a weak composition of one part."""
+    parts = tuple(parts)
+    if any(not isinstance(p, int) or p < 0 for p in parts):
+        raise ValueError("weak composition parts must be non-negative integers")
+    return parts
+
+
 def words_over(n: int, length: int) -> Iterator[Word]:
     """All words of the given length over 1..n, lexicographically."""
     _check_bound(n)
@@ -349,6 +360,7 @@ def words_of_weight(gamma: WeakComposition) -> Iterator[Word]:
     These are the multiset permutations of the multiset containing
     gamma[k-1] copies of each symbol k.
     """
+    gamma = _check_weak_composition(gamma)
     symbols = [k for k, count in enumerate(gamma, start=1) for _ in range(count)]
     if not symbols:
         yield ()

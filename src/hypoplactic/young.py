@@ -267,6 +267,7 @@ def column_reading(t) -> Word:
 
 def tabloid_of(w: Word) -> Tabloid:
     """The tabloid whose columns are the maximal decreasing factors of ``w``."""
+    _check_symbols(w)
     return Tabloid(tuple(reversed(f)) for f in max_decreasing_factorization(w))
 
 

@@ -18,6 +18,7 @@ from functools import reduce
 import pytest
 
 import hypoplactic
+from hypoplactic import words
 from hypoplactic.counting import (
     check_identity_xyxy,
     count_iso_plac_components_with_qrw,
@@ -28,6 +29,7 @@ from hypoplactic.counting import (
     hypo_class_members,
     hypo_class_size,
     hypo_class_size_brute,
+    multinomial,
     novelli_recursion_check,
     o_conjugacy_witness,
     qr_tableaux_of_shape,
@@ -43,6 +45,7 @@ from hypoplactic.graphs import (
     highest_weight_word,
     involution_edge_check,
     is_highest_weight_hypo,
+    is_interval_reversing,
     plac_component_contains_qrw,
     same_recording_ribbon,
     sim_related,
@@ -67,23 +70,31 @@ from hypoplactic.quasiribbon import (
     is_quasi_ribbon_word,
     kt_insert,
     predicted_shape,
+    qr_tabloid_of,
 )
 from hypoplactic.words import (
     check_alphabet,
+    compositions,
+    descent_composition,
+    descent_set,
     format_word,
     has_inversion,
+    inverse_permutation,
     schuetzenberger_involution,
     weight,
+    words_of_weight,
     words_over,
 )
 from hypoplactic.young import (
     StandardYoungTableau,
     Tabloid,
     YoungTableau,
+    is_tableau_word,
     is_yamanouchi,
     plactic_relations,
     rsk,
     schensted_insert,
+    tabloid_of,
 )
 
 # (name, call taking one word w over the bound n, 2 unless given);
@@ -341,3 +352,61 @@ def test_per_label_operators_reject_labels_that_are_not_positive_integers(op, i,
     with pytest.raises(ValueError) as excinfo:
         op((1, 2), i)
     assert str(excinfo.value) == message
+
+
+WEAK_COMPOSITION_CALLS = [
+    ("words_of_weight", lambda parts: list(words_of_weight(parts))),
+    ("compositions", lambda parts: [list(compositions(p)) for p in parts]),
+    ("multinomial.parts", lambda parts: multinomial(3, parts)),
+    ("multinomial.total", lambda parts: [multinomial(p, (p,)) for p in parts]),
+]
+
+
+@pytest.mark.parametrize("call", [c for _, c in WEAK_COMPOSITION_CALLS],
+                         ids=[name for name, _ in WEAK_COMPOSITION_CALLS])
+@pytest.mark.parametrize("parts", [(-1, 2), (1.5,), (2.0, 1), ("1",), (2, -1)], ids=str)
+def test_weak_compositions_reject_parts_that_are_not_non_negative_integers(call, parts):
+    """A negative part is not read as an empty one, and a part that is
+    not an integer fails with the same ValueError rather than a
+    TypeError from the arithmetic."""
+    with pytest.raises(ValueError) as excinfo:
+        call(parts)
+    assert str(excinfo.value) == "weak composition parts must be non-negative integers"
+
+
+def test_weak_composition_check_runs_once_per_call(monkeypatch):
+    calls = []
+    check = words._check_weak_composition
+    monkeypatch.setattr(words, "_check_weak_composition", lambda parts: calls.append(parts) or check(parts))
+    assert len(list(words_of_weight((2, 1, 2)))) == 30
+    assert len(list(compositions(5))) == 16
+    assert calls == [(2, 1, 2), (5,)]
+
+
+@pytest.mark.parametrize("call", [descent_composition, descent_set, inverse_permutation, is_interval_reversing],
+                         ids=lambda f: f.__name__)
+@pytest.mark.parametrize("w", [(1.0, 2.0), (2, 1.0), ("1",)], ids=str)
+def test_standard_words_reject_symbols_that_are_not_ints(call, w):
+    """``is_standard`` compares by value, so (1.0, 2.0) would pass it;
+    the symbols are checked first."""
+    with pytest.raises(ValueError) as excinfo:
+        call(w)
+    assert str(excinfo.value) == "entries must be positive integers"
+
+
+@pytest.mark.parametrize("call", [tabloid_of, qr_tabloid_of, is_tableau_word], ids=lambda f: f.__name__)
+@pytest.mark.parametrize("w, quoted", [((0, 1), "'0,1'"), ((3, -1, 2), "'3,-1,2'")], ids=str)
+def test_tabloids_of_a_word_quote_the_whole_word(call, w, quoted):
+    """The word is checked before it is cut into columns, so the
+    message quotes all of it rather than the first bad column."""
+    with pytest.raises(ValueError) as excinfo:
+        call(w)
+    assert str(excinfo.value) == f"word symbols must be positive: {quoted}"
+
+
+@pytest.mark.parametrize("call", [tabloid_of, qr_tabloid_of, is_tableau_word], ids=lambda f: f.__name__)
+def test_tabloids_of_a_word_reject_symbols_that_are_not_integers(call):
+    """A symbol that cannot be compared is rejected before the word is
+    split into decreasing factors, which compares symbols."""
+    with pytest.raises(ValueError, match="^entries must be positive integers$"):
+        call((2, "1"))

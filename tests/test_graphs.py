@@ -30,7 +30,7 @@ from hypoplactic.quasiribbon import (
     slide_up_slide_left,
     standard_ribbon,
 )
-from hypoplactic.words import compositions, parse_word, weight
+from hypoplactic.words import compositions, format_word, parse_word, weight
 from hypoplactic.young import is_yamanouchi, rsk
 
 from helpers import sim_key, standard_words, words_up_to
@@ -439,6 +439,40 @@ class TestInvolutionEdgeCheck:
     def test_rejects_crystal_component(self):
         with pytest.raises(ValueError):
             involution_edge_check(explore_component((1,), 2, CRYSTAL), 2)
+
+
+class TestEdgeOrderAndIndex:
+    """The walk numbers vertices by integer keys; every public view still
+    lists edges in sorted word order and numbers vertices by word."""
+
+    CASES = [((2, 1, 3, 1), 4, CRYSTAL), ((1, 3, 2, 3), 4, QUASI_CRYSTAL), ((8, 1, 7), 8, CRYSTAL),
+             ((16, 1, 15), 16, QUASI_CRYSTAL), ((3, 1), 3, CRYSTAL), ((7, 1, 7), 7, QUASI_CRYSTAL)]
+
+    @pytest.mark.parametrize("w, n, kind", CASES, ids=str)
+    def test_edges_json_and_dot_in_sorted_word_order(self, w, n, kind):
+        c = explore_component(w, n, kind)
+        expected = sorted((u, i, v) for u, edges in c.out.items() for i, v in edges.items())
+        assert c.edges == expected
+        assert [(parse_word(e["from"]), e["label"], parse_word(e["to"]))
+                for e in component_to_json_dict(c)["edges"]] == expected
+        arrows = [line for line in component_to_dot(c).splitlines() if "->" in line]
+        assert arrows == [
+            f'  "{format_word(u)}" -> "{format_word(v)}" [label="{i}"];' for u, i, v in expected
+        ]
+
+    @pytest.mark.parametrize("w, n, kind", CASES, ids=str)
+    def test_index_of_numbers_vertices_by_visit(self, w, n, kind):
+        c = explore_component(w, n, kind)
+        assert [c.index_of(v) for v in c.canonical_order()] == list(range(len(c)))
+
+    def test_index_of_rejects_words_outside_the_component(self):
+        # over n = 3 a key holds 2 bits per symbol, so keying 15 as if it
+        # were over 1..3 would give 1*4 + 5 = 9 = 2*4 + 1, the key of 21
+        c = explore_component((2, 1), 3, CRYSTAL)
+        assert c.index_of((2, 1)) == 0
+        for outside in [(1, 5), (1, 2), (2, 1, 1), (2,), (), (0, 9), (2.5, 1)]:
+            with pytest.raises(KeyError):
+                c.index_of(outside)
 
 
 class TestSerialization:

@@ -252,6 +252,20 @@ class TestExploreAgainstOracle:
                 for kind in (CRYSTAL, QUASI_CRYSTAL):
                     assert_component_matches_oracle(w, n, kind)
 
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 15, 16])
+    def test_key_bit_width_boundaries(self, n):
+        """The walk keys a word by n.bit_length() bits per symbol, so the
+        top symbol n fills its bits at n = 1, 3, 7 and 15 and opens a new
+        bit at n = 2, 4, 8 and 16; words holding n, n-1 and 1 in
+        several places cross every digit boundary."""
+        m = max(n - 1, 1)
+        words = {(n,), (n, 1), (1, n), (n, n), (m, n), (n, m, 1), (1, n, m), (n, 1, n)}
+        if n <= 4:
+            words.add((n, 1, m, n))
+        for w in sorted(words):
+            for kind in (CRYSTAL, QUASI_CRYSTAL):
+                assert_component_matches_oracle(w, n, kind)
+
     @settings(max_examples=25, deadline=None)
     @given(st.integers(2, 7).flatmap(
         lambda n: st.tuples(st.lists(st.integers(1, n), max_size=8).map(tuple), st.just(n))
