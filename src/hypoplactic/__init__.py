@@ -10,7 +10,6 @@ and tableau numbers together with brute-force oracles, plus a CLI.
 
 from .counting import (
     TooLargeError,
-    check_identity_xyxy,
     count_iso_plac_components_with_qrw,
     count_iso_plac_components_with_qrw_brute,
     count_qrt,
@@ -21,7 +20,6 @@ from .counting import (
     hypo_class_size_brute,
     multinomial,
     novelli_recursion_check,
-    o_conjugacy_witness,
     qr_tableaux_of_shape,
 )
 from .graphs import (
@@ -34,9 +32,7 @@ from .graphs import (
     crystal_overlay,
     explore_component,
     highest_weight_word,
-    involution_edge_check,
     is_highest_weight_hypo,
-    is_interval_reversing,
     plac_component_contains_qrw,
     same_recording_ribbon,
     sim_related,

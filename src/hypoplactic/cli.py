@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import permutations
 from typing import Optional
 
 from . import counting, graphs, operators, quasiribbon, words, young
@@ -344,6 +345,49 @@ def _verify_graphs() -> list[tuple[str, bool]]:
             for v in keys:
                 ok_theorem &= (keys[u] == keys[v]) == quasiribbon.hypo_congruent(u, v)
     checks.append(("position-in-component relation matches congruence", ok_theorem))
+
+    small = [w for length in range(4) for w in words.words_over(3, length)]
+    congruent = quasiribbon.hypo_congruent
+    checks.append((
+        "xyxy = yxyx for words x, y over 1..3 of length <= 3",
+        all(congruent(x + y + x + y, y + x + y + x) for x in small for y in small),
+    ))
+    g = (3, 2, 1)
+    checks.append((
+        "g = 321 conjugates u and v of equal weight: ug = gv, gu = vg",
+        all(congruent(u + g, g + v) and congruent(g + u, v + g)
+            for u in small for v in small if words.weight(u) == words.weight(v)),
+    ))
+
+    ok_involution = True
+    seen = set()
+    for length in range(5):
+        for w in words.words_over(3, length):
+            if w in seen:
+                continue
+            component = graphs.explore_component(w, 3, graphs.QUASI_CRYSTAL)
+            seen |= component.vertices
+            for u, i, v in component.edges:
+                image_source = words.schuetzenberger_involution(v, 3)
+                image_target = words.schuetzenberger_involution(u, 3)
+                ok_involution &= operators.quasi_f(image_source, 3 - i) == image_target
+    checks.append((
+        "the involution reverses quasi edges: u -i-> v gives xi(v) -(3-i)-> xi(u)",
+        ok_involution,
+    ))
+
+    ok_blocks = True
+    for size in range(7):
+        for p in permutations(range(1, size + 1)):
+            reversed_blocks, start = [], 0
+            for factor in words.max_decreasing_factorization(p):
+                reversed_blocks.extend(range(start + len(factor), start, -1))
+                start += len(factor)
+            ok_blocks &= quasiribbon.is_quasi_ribbon_word(p) == (tuple(reversed_blocks) == p)
+    checks.append((
+        "a permutation is a quasi-ribbon word iff it reverses its decreasing blocks, N <= 6",
+        ok_blocks,
+    ))
     return checks
 
 

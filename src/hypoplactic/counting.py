@@ -13,13 +13,12 @@ from __future__ import annotations
 from itertools import accumulate, combinations_with_replacement
 from math import comb
 from operator import add
-from typing import Iterator, Optional
+from typing import Iterator
 
 from .graphs import CRYSTAL, explore_component
 from .quasiribbon import (
     QuasiRibbonTableau,
     _sort_positions,
-    hypo_congruent,
     is_quasi_ribbon_word,
 )
 from .words import (
@@ -33,7 +32,6 @@ from .words import (
     format_composition,
     is_partition,
     validate_composition,
-    weight,
     words_of_weight,
     words_over,
 )
@@ -62,8 +60,8 @@ def _checked(shape, n: int, partition: bool = False) -> Composition:
 def _guard_weight(shape: Composition) -> None:
     if sum(shape) > MAX_BRUTE_WEIGHT:
         raise TooLargeError(
-            f"brute-force enumeration capped at weight {MAX_BRUTE_WEIGHT}, "
-            f"got {format_composition(shape)!r}"
+            f"weight {sum(shape)} of {format_composition(shape)!r} is beyond "
+            f"the brute-force cap of weight {MAX_BRUTE_WEIGHT}"
         )
 
 
@@ -191,7 +189,9 @@ def count_iso_plac_components_with_qrw_brute(lam: Composition, n: int) -> int:
     lam = _checked(lam, n, partition=True)
     k = sum(lam)
     if n ** k > MAX_BRUTE_WORDS:
-        raise TooLargeError(f"{n}^{k} words is beyond the enumeration cap")
+        raise TooLargeError(
+            f"{n}^{k} = {n ** k} words is beyond the enumeration cap of {MAX_BRUTE_WORDS}"
+        )
     buckets: dict = {}
     for w in words_over(n, k):
         p, q = rsk(w)
@@ -267,24 +267,3 @@ def factorization_count(w: Word, alpha: Composition, beta: Composition, n: int) 
                     by_tau if (j in right) == descent else 0)
     return sum(ends[a][b])
 
-
-def o_conjugacy_witness(u: Word, v: Word, n: int) -> Optional[Word]:
-    """The decreasing word g = n .. 2 1 whenever ``u`` and ``v`` have
-    equal weight, in which case ug = gv and gu = vg hold in the
-    hypoplactic monoid; None when the weights differ."""
-    check_alphabet(u, n)
-    check_alphabet(v, n)
-    if weight(u) != weight(v):
-        return None
-    g = tuple(range(n, 0, -1))
-    if not (hypo_congruent(u + g, g + v) and hypo_congruent(g + u, v + g)):
-        raise AssertionError("conjugacy witness failed its defining congruences")
-    return g
-
-
-def check_identity_xyxy(x: Word, y: Word, n: int) -> bool:
-    """Whether xyxy and yxyx are hypoplactically congruent (they always
-    are; this exists to be tested)."""
-    check_alphabet(x, n)
-    check_alphabet(y, n)
-    return hypo_congruent(x + y + x + y, y + x + y + x)

@@ -20,9 +20,9 @@ unique isomorphism.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
-from .operators import _bracket_scan, quasi_f
+from .operators import _bracket_scan
 from .quasiribbon import (
     _sort_positions,
     hypo_congruent,
@@ -30,17 +30,14 @@ from .quasiribbon import (
     standard_ribbon,
 )
 from .words import (
-    Composition,
     WeakComposition,
     Word,
     _check_symbols,
-    _require_standard,
     check_alphabet,
     composition_from_descents,
     format_word,
     has_inversion,
     parse_word,
-    schuetzenberger_involution,
     standardize,
     weight,
 )
@@ -388,43 +385,6 @@ def plac_component_contains_qrw(w: Word, n: int) -> bool:
         [k - 1 for k in range(2, len(w) + 1) if k not in tops], len(w)
     )
     return len(alpha) <= n and slide_up_slide_left(standard_ribbon(alpha)) == q
-
-
-def is_interval_reversing(p: Word) -> Optional[Composition]:
-    """The composition whose consecutive blocks ``p`` reverses in place,
-    or None when no such composition exists.
-
-    Each block is forced: a block starting at position s+1 must have
-    length p[s+1] - s, so at most one candidate exists.
-    """
-    _require_standard(p)
-    parts = []
-    s = 0
-    while s < len(p):
-        length = p[s] - s
-        if length < 1 or s + length > len(p):
-            return None
-        if any(p[s + k] != s + length - k for k in range(length)):
-            return None
-        parts.append(length)
-        s += length
-    return tuple(parts)
-
-
-def involution_edge_check(c: Component, n: int) -> bool:
-    """Whether reversing and complementing maps every edge u -i-> v of
-    the quasi-crystal component onto an edge v' -(n-i)-> u' between the
-    image words."""
-    if c.kind != QUASI_CRYSTAL:
-        raise ValueError("involution edge check applies to quasi-crystal components")
-    if c.n != n:
-        raise ValueError("alphabet bound disagrees with the component")
-    for u, i, v in c.edges:
-        image_source = schuetzenberger_involution(v, n)
-        image_target = schuetzenberger_involution(u, n)
-        if quasi_f(image_source, n - i) != image_target:
-            return False
-    return True
 
 
 def component_to_dot(c: Component, dotted: Iterable[Edge] = ()) -> str:

@@ -48,17 +48,11 @@ def weight(w: Word) -> WeakComposition:
     zeros are stripped, so the result is canonical.  A symbol that is
     not a positive integer raises ValueError.
     """
-    if not w:
-        return ()
-    try:
-        if min(w) >= 1:
-            counts = [0] * max(w)
-            for a in w:
-                counts[a - 1] += 1
-            return tuple(counts)
-    except TypeError:  # a symbol that cannot be compared or index the counts
-        pass
-    _check_symbols(w)  # raises: only a symbol that is not a positive integer stops the count
+    _check_symbols(w)
+    counts = [0] * (max(w, default=0) + 1)  # slot a counts symbol a; slot 0 is unused
+    for a in w:
+        counts[a] += 1
+    return tuple(counts[1:])
 
 
 def weight_leq(a: WeakComposition, b: WeakComposition) -> bool:
@@ -277,10 +271,11 @@ def is_partition(a: Composition) -> bool:
 
 def _check_symbols(w: Word) -> None:
     """The one test of symbols, for a word, row or column: reject a
-    symbol that is not an integer, then one below 1."""
+    symbol that is not an integer, then one below 1.  A bool is not an
+    integer here, as in ``format_word``."""
     below_one = False
     for a in w:
-        if not isinstance(a, int):
+        if type(a) is not int:
             raise ValueError("entries must be positive integers")
         if a < 1:
             below_one = True
@@ -291,7 +286,7 @@ def _check_symbols(w: Word) -> None:
 def _check_bound(n: int) -> None:
     """Reject an alphabet bound that is not an integer of at least 1:
     the one check of a bound."""
-    if not isinstance(n, int):
+    if type(n) is not int:
         raise ValueError(f"alphabet bound must be an integer, got {n!r}")
     if n < 1:
         raise ValueError("alphabet bound must be at least 1")
@@ -299,7 +294,7 @@ def _check_bound(n: int) -> None:
 
 def _check_label(i: int) -> None:
     """Reject an operator label that is not an integer of at least 1."""
-    if not isinstance(i, int):
+    if type(i) is not int:
         raise ValueError(f"i must be an integer, got {i!r}")
     if i < 1:
         raise ValueError("i must be at least 1")
@@ -318,7 +313,7 @@ def validate_composition(shape) -> Composition:
     """Return ``shape`` as a tuple, rejecting parts that are not
     positive integers."""
     shape = tuple(shape)
-    if any(not isinstance(p, int) or p < 1 for p in shape):
+    if any(type(p) is not int or p < 1 for p in shape):
         raise ValueError("composition parts must be positive integers")
     return shape
 
@@ -328,7 +323,7 @@ def _check_weak_composition(parts) -> WeakComposition:
     non-negative integers: the one check of a weak composition, and of
     a total, which is a weak composition of one part."""
     parts = tuple(parts)
-    if any(not isinstance(p, int) or p < 0 for p in parts):
+    if any(type(p) is not int or p < 0 for p in parts):
         raise ValueError("weak composition parts must be non-negative integers")
     return parts
 

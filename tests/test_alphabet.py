@@ -20,7 +20,6 @@ import pytest
 import hypoplactic
 from hypoplactic import words
 from hypoplactic.counting import (
-    check_identity_xyxy,
     count_iso_plac_components_with_qrw,
     count_iso_plac_components_with_qrw_brute,
     count_qrt,
@@ -31,7 +30,6 @@ from hypoplactic.counting import (
     hypo_class_size_brute,
     multinomial,
     novelli_recursion_check,
-    o_conjugacy_witness,
     qr_tableaux_of_shape,
 )
 from hypoplactic.graphs import (
@@ -43,9 +41,7 @@ from hypoplactic.graphs import (
     crystal_overlay,
     explore_component,
     highest_weight_word,
-    involution_edge_check,
     is_highest_weight_hypo,
-    is_interval_reversing,
     plac_component_contains_qrw,
     same_recording_ribbon,
     sim_related,
@@ -113,10 +109,6 @@ ENTRY_POINTS = [
     ("same_recording_ribbon.u", lambda w, n=2: same_recording_ribbon(w, (1,), n)),
     ("same_recording_ribbon.v", lambda w, n=2: same_recording_ribbon((1,), w, n)),
     ("factorization_count", lambda w, n=2: factorization_count(w, (len(w),) if w else (), (), n)),
-    ("o_conjugacy_witness.u", lambda w, n=2: o_conjugacy_witness(w, (1,), n)),
-    ("o_conjugacy_witness.v", lambda w, n=2: o_conjugacy_witness((1,), w, n)),
-    ("check_identity_xyxy.x", lambda w, n=2: check_identity_xyxy(w, (1,), n)),
-    ("check_identity_xyxy.y", lambda w, n=2: check_identity_xyxy((1,), w, n)),
 ]
 CALLS = [call for _, call in ENTRY_POINTS]
 IDS = [name for name, _ in ENTRY_POINTS]
@@ -182,7 +174,7 @@ COUNTS = [
     count_iso_plac_components_with_qrw_brute,
     listed_qr_tableaux_of_shape,
 ]
-NOT_INTEGERS = [2.0, 2.5, "3", None]
+NOT_INTEGERS = [2.0, 2.5, "3", None, True]
 
 
 @pytest.mark.parametrize("call", CALLS, ids=IDS)
@@ -232,12 +224,9 @@ def test_bound_only_calls_reject_bound_below_one(call, n):
 
 
 # entry points that take a component's bound: the constructor checks n
-# as it checks the root against it, and ``involution_edge_check``
-# compares n with the bound ``c.n`` that the constructor checked
+# as it checks the root against it
 COMPONENT_BOUND = [
     ("Component", lambda n: Component(QUASI_CRYSTAL, n, (), {(): {}})),
-    ("involution_edge_check",
-     lambda n: involution_edge_check(explore_component((1, 2), 3, QUASI_CRYSTAL), n)),
 ]
 
 
@@ -245,7 +234,7 @@ COMPONENT_BOUND = [
                          ids=[name for name, _ in COMPONENT_BOUND])
 @pytest.mark.parametrize("n", [*NOT_INTEGERS, 0, -1], ids=repr)
 def test_component_calls_reject_bound_that_is_not_the_component_bound(call, n):
-    with pytest.raises(ValueError, match="^alphabet bound (must be|disagrees with the component)"):
+    with pytest.raises(ValueError, match="^alphabet bound must be"):
         call(n)
 
 
@@ -319,7 +308,8 @@ def test_formats_symbols_that_are_not_ints_in_the_comma_form(w, text):
 
 
 @pytest.mark.parametrize("call", SYMBOL_CALLS, ids=SYMBOL_IDS)
-@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2"), (1.5, 0), ("2",)], ids=str)
+@pytest.mark.parametrize("w", [(1.5, 2), (2, 1.0), (2.0,), (1, "2"), (1.5, 0), ("2",), (True, 2),
+                               (2, True)], ids=str)
 def test_rejects_symbols_that_are_not_integers(call, w):
     """The integer error comes first, also when a symbol is below 1."""
     with pytest.raises(ValueError) as excinfo:
@@ -345,7 +335,8 @@ PER_LABEL = [
     (1.5, "i must be an integer, got 1.5"),
     (2.0, "i must be an integer, got 2.0"),
     ("1", "i must be an integer, got '1'"),
-], ids=["0", "1.5", "2.0", "'1'"])
+    (True, "i must be an integer, got True"),
+], ids=["0", "1.5", "2.0", "'1'", "True"])
 def test_per_label_operators_reject_labels_that_are_not_positive_integers(op, i, message):
     """A label that is not an integer is rejected rather than acting as
     no operator at all."""
@@ -364,7 +355,7 @@ WEAK_COMPOSITION_CALLS = [
 
 @pytest.mark.parametrize("call", [c for _, c in WEAK_COMPOSITION_CALLS],
                          ids=[name for name, _ in WEAK_COMPOSITION_CALLS])
-@pytest.mark.parametrize("parts", [(-1, 2), (1.5,), (2.0, 1), ("1",), (2, -1)], ids=str)
+@pytest.mark.parametrize("parts", [(-1, 2), (1.5,), (2.0, 1), ("1",), (2, -1), (True,)], ids=str)
 def test_weak_compositions_reject_parts_that_are_not_non_negative_integers(call, parts):
     """A negative part is not read as an empty one, and a part that is
     not an integer fails with the same ValueError rather than a
@@ -383,7 +374,7 @@ def test_weak_composition_check_runs_once_per_call(monkeypatch):
     assert calls == [(2, 1, 2), (5,)]
 
 
-@pytest.mark.parametrize("call", [descent_composition, descent_set, inverse_permutation, is_interval_reversing],
+@pytest.mark.parametrize("call", [descent_composition, descent_set, inverse_permutation],
                          ids=lambda f: f.__name__)
 @pytest.mark.parametrize("w", [(1.0, 2.0), (2, 1.0), ("1",)], ids=str)
 def test_standard_words_reject_symbols_that_are_not_ints(call, w):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from hypoplactic import operators, quasiribbon, words
 from hypoplactic.cli import main
 
 
@@ -260,6 +261,35 @@ class TestVerify:
         code, out, _ = run(capsys, "verify")
         assert code == 0
         assert "FAIL" not in out
+
+    GRAPHS_LABELS = [
+        "crystal component of 2111 splits at 2111, 2112, 2122",
+        "position-in-component relation matches congruence",
+        "xyxy = yxyx for words x, y over 1..3 of length <= 3",
+        "g = 321 conjugates u and v of equal weight: ug = gv, gu = vg",
+        "the involution reverses quasi edges: u -i-> v gives xi(v) -(3-i)-> xi(u)",
+        "a permutation is a quasi-ribbon word iff it reverses its decreasing blocks, N <= 6",
+    ]
+
+    def test_graphs_suite_checks_each_result(self, capsys):
+        code, out, _ = run(capsys, "verify", "--suite", "graphs")
+        assert code == 0
+        assert out.splitlines() == [f"ok [graphs] {label}" for label in self.GRAPHS_LABELS]
+
+    @pytest.mark.parametrize("module, name, fake, label", [
+        (quasiribbon, "hypo_congruent", lambda u, v: u == v, 2),
+        (words, "weight", lambda w: (), 3),
+        (operators, "quasi_f", lambda w, i: None, 4),
+        (quasiribbon, "is_quasi_ribbon_word", lambda w: True, 5),
+    ], ids=["xyxy", "conjugacy", "involution", "interval-reversing"])
+    def test_graphs_suite_fails_when_a_result_breaks(self, capsys, monkeypatch,
+                                                     module, name, fake, label):
+        """Each result is computed from the library on every run: a
+        broken construction prints FAIL on its line and exits 3."""
+        monkeypatch.setattr(module, name, fake)
+        code, out, _ = run(capsys, "verify", "--suite", "graphs")
+        assert code == 3
+        assert f"FAIL [graphs] {self.GRAPHS_LABELS[label]}" in out.splitlines()
 
 
 # Each flag a subcommand does not read, which the parser used to accept

@@ -1,5 +1,5 @@
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +15,7 @@ from hypoplactic.graphs import (
     crystal_overlay,
     explore_component,
     highest_weight_word,
-    involution_edge_check,
     is_highest_weight_hypo,
-    is_interval_reversing,
     plac_component_contains_qrw,
     same_recording_ribbon,
     sim_related,
@@ -30,7 +28,14 @@ from hypoplactic.quasiribbon import (
     slide_up_slide_left,
     standard_ribbon,
 )
-from hypoplactic.words import compositions, format_word, parse_word, weight
+from hypoplactic.words import (
+    compositions,
+    format_word,
+    max_decreasing_factorization,
+    parse_word,
+    schuetzenberger_involution,
+    weight,
+)
 from hypoplactic.young import is_yamanouchi, rsk
 
 from helpers import sim_key, standard_words, words_up_to
@@ -390,21 +395,41 @@ class TestPlacComponentContainsQrw:
         ).vertices
 
 
+def reversed_blocks(alpha):
+    """The standard word that reverses, in place, consecutive blocks
+    of the lengths in ``alpha``."""
+    word, start = [], 0
+    for part in alpha:
+        word.extend(range(start + part, start, -1))
+        start += part
+    return tuple(word)
+
+
+def block_lengths(p):
+    return tuple(len(f) for f in max_decreasing_factorization(p))
+
+
 class TestIntervalReversing:
+    """A standard word is a quasi-ribbon word exactly when it reverses,
+    in place, the blocks of its maximal decreasing factors."""
+
     def test_worked_example(self):
-        assert is_interval_reversing(parse_word("15432876")) == (1, 4, 3)
+        p = parse_word("15432876")
+        assert is_quasi_ribbon_word(p)
+        assert block_lengths(p) == (1, 4, 3)
+        assert reversed_blocks((1, 4, 3)) == p
 
     def test_identity(self):
-        assert is_interval_reversing((1, 2, 3, 4)) == (1, 1, 1, 1)
+        assert is_quasi_ribbon_word((1, 2, 3, 4))
+        assert block_lengths((1, 2, 3, 4)) == (1, 1, 1, 1)
+        assert reversed_blocks((1, 1, 1, 1)) == (1, 2, 3, 4)
 
     def test_absent(self):
-        assert is_interval_reversing((2, 3, 1)) is None
-
-    def test_rejects_non_standard(self):
-        with pytest.raises(ValueError):
-            is_interval_reversing((1, 1))
+        assert not is_quasi_ribbon_word((2, 3, 1))
+        assert all(reversed_blocks(alpha) != (2, 3, 1) for alpha in compositions(3))
 
     def test_against_composition_oracle(self):
+        found = Counter()
         for p in standard_words(5):
             matches = []
             for alpha in compositions(len(p)):
@@ -418,27 +443,37 @@ class TestIntervalReversing:
                 if good:
                     matches.append(alpha)
             assert len(matches) <= 1
-            expected = matches[0] if matches else None
-            assert is_interval_reversing(p) == expected
+            assert is_quasi_ribbon_word(p) == bool(matches)
+            if matches:
+                assert matches[0] == block_lengths(p)
+                found[len(p)] += 1
+        assert [found[size] for size in range(1, 6)] == [1, 2, 4, 8, 16]
+
+
+def involution_reverses_edges(c, n):
+    """Whether the Schuetzenberger involution xi maps every edge
+    u -i-> v of ``c`` onto an edge xi(v) -(n-i)-> xi(u)."""
+    return all(
+        quasi_f(schuetzenberger_involution(v, n), n - i) == schuetzenberger_involution(u, n)
+        for u, i, v in c.edges
+    )
 
 
 class TestInvolutionEdgeCheck:
     def test_single_edge(self):
         c = explore_component((1,), 2, QUASI_CRYSTAL)
         assert c.edges == [((1,), 1, (2,))]
-        assert involution_edge_check(c, 2)
+        assert involution_reverses_edges(c, 2)
 
     def test_isolated(self):
-        assert involution_edge_check(explore_component((2, 1), 2, QUASI_CRYSTAL), 2)
+        c = explore_component((2, 1), 2, QUASI_CRYSTAL)
+        assert c.edges == []
+        assert involution_reverses_edges(c, 2)
 
     def test_exhaustive_small(self):
         for length in range(5):
             for c in quasi_components(3, length):
-                assert involution_edge_check(c, 3)
-
-    def test_rejects_crystal_component(self):
-        with pytest.raises(ValueError):
-            involution_edge_check(explore_component((1,), 2, CRYSTAL), 2)
+                assert involution_reverses_edges(c, 3)
 
 
 class TestEdgeOrderAndIndex:
