@@ -25,7 +25,7 @@ EXIT_GUARD = 2
 EXIT_MISMATCH = 3
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -74,17 +74,21 @@ def _build_parser() -> _Parser:
     p.add_argument("word")
     p.add_argument("--kind", choices=["crystal", "quasi"], default="quasi")
 
-    p = add("classsize", "size of the hypoplactic class of a shape", _cmd_classsize,
-            n=True, brute=True)
+    # Each count sets its formula, its brute-force oracle and its bound
+    # when -n is not given; a count without that bound requires -n.
+    p = add("classsize", "size of the hypoplactic class of a shape", _cmd_count, n=True,
+            brute=True, formula=counting.hypo_class_size, oracle=counting.hypo_class_size_brute,
+            bound=lambda shape: max(len(shape), 1))
     p.add_argument("shape")
 
-    p = add("count-qrt", "count quasi-ribbon tableaux of a shape", _cmd_count_qrt,
-            n=True, brute=True)
+    p = add("count-qrt", "count quasi-ribbon tableaux of a shape", _cmd_count, n=True,
+            brute=True, formula=counting.count_qrt, oracle=counting.count_qrt_brute, bound=None)
     p.add_argument("shape")
 
     p = add("count-components",
-            "count isomorphic crystal components containing quasi-ribbon words",
-            _cmd_count_components, n=True, brute=True)
+            "count isomorphic crystal components containing quasi-ribbon words", _cmd_count,
+            n=True, brute=True, formula=counting.count_iso_plac_components_with_qrw,
+            oracle=counting.count_iso_plac_components_with_qrw_brute, bound=None)
     p.add_argument("shape", help="partition")
 
     p = add("verify", "run built-in consistency checks", _cmd_verify, formats=())
@@ -97,44 +101,34 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _need_n(args, default: Optional[int] = None) -> int:
+def _bound(args, default: Optional[int]) -> int:
+    """The alphabet bound: ``-n`` when it is given, else ``default``;
+    a command with no default requires ``-n``."""
     if args.n is not None:
         return args.n
-    if default is not None:
-        return default
-    raise _UsageError("this command requires -n")
-
-
-def _infer_n(args, word: words.Word) -> int:
-    if args.n is not None:
-        return args.n
-    return max(word) if word else 1
-
-
-def _print_pair(args, first, second, first_key, second_key):
-    if args.format == "json":
-        print(json.dumps({first_key: first.to_json_dict(), second_key: second.to_json_dict()}))
-    else:
-        print(f"{first_key}:")
-        print(first.ascii())
-        print(f"{second_key}:")
-        print(second.ascii())
+    if default is None:
+        raise _UsageError("this command requires -n")
+    return default
 
 
 def _cmd_insert(args) -> int:
     w = words.parse_word(args.word)
     if args.kind == "plactic":
-        p, q = young.rsk(w)
-        _print_pair(args, p, q, "P", "Q")
+        pair = zip("PQ", young.rsk(w))
     else:
-        t, r = quasiribbon.hypo_rsk(w)
-        _print_pair(args, t, r, "T", "R")
+        pair = zip("TR", quasiribbon.hypo_rsk(w))
+    if args.format == "json":
+        print(json.dumps({key: tableau.to_json_dict() for key, tableau in pair}))
+    else:
+        for key, tableau in pair:
+            print(f"{key}:")
+            print(tableau.ascii())
     return EXIT_OK
 
 
 def _cmd_component(args) -> int:
     w = words.parse_word(args.word)
-    n = _infer_n(args, w)
+    n = _bound(args, max(w, default=1))
     if args.overlay and args.kind != graphs.CRYSTAL:
         raise _UsageError("--overlay only applies to --kind crystal")
     component = graphs.explore_component(w, n, args.kind)
@@ -142,43 +136,38 @@ def _cmd_component(args) -> int:
         # the JSON form flags the quasi edges whether or not --overlay is given
         print(json.dumps(graphs.component_to_json_dict(component)))
         return EXIT_OK
-    dotted = graphs._split_edges(component)[1] if args.overlay else []
     if args.format == "dot":
+        dotted = graphs._split_edges(component)[1] if args.overlay else []
         sys.stdout.write(graphs.component_to_dot(component, dotted))
     else:
         print(f"kind: {component.kind}")
         print(f"n: {component.n}")
         print(f"root: {words.format_word(component.root)}")
         print(f"vertices: {len(component)}")
-        dotted_set = set(dotted)
-        for u, i, v in component.edges:
-            mark = "  [crystal-only]" if (u, i, v) in dotted_set else ""
+        for u, i, v, quasi in component._flagged_edges():
+            mark = "  [crystal-only]" if args.overlay and not quasi else ""
             print(f"{words.format_word(u)} -{i}-> {words.format_word(v)}{mark}")
     return EXIT_OK
+
+
+_RELATIONS = {
+    "plac": lambda u, v, n: young.plactic_congruent(u, v),
+    "hypo": lambda u, v, n: quasiribbon.hypo_congruent(u, v),
+    "sim": graphs.sim_related,
+}
 
 
 def _cmd_congruent(args) -> int:
     u = words.parse_word(args.u)
     v = words.parse_word(args.v)
-    n = _infer_n(args, u + v)
+    n = _bound(args, max(u + v, default=1))
     words.check_alphabet(u, n)
     words.check_alphabet(v, n)
-    if args.relation == "plac":
-        verdict = young.plactic_congruent(u, v)
-        extra = {}
-    elif args.relation == "hypo":
-        verdict = quasiribbon.hypo_congruent(u, v)
-        extra = {}
-    else:
-        verdict = graphs.sim_related(u, v, n)
-        extra = {
-            "highest_weight_u": words.format_word(
-                graphs.highest_weight_word(u, n, graphs.QUASI_CRYSTAL)
-            ),
-            "highest_weight_v": words.format_word(
-                graphs.highest_weight_word(v, n, graphs.QUASI_CRYSTAL)
-            ),
-        }
+    verdict = _RELATIONS[args.relation](u, v, n)
+    extra = {}
+    if args.relation == "sim":
+        for key, w in (("highest_weight_u", u), ("highest_weight_v", v)):
+            extra[key] = words.format_word(graphs.highest_weight_word(w, n, graphs.QUASI_CRYSTAL))
     if args.format == "json":
         print(json.dumps({"congruent": verdict, **extra}))
     else:
@@ -190,7 +179,7 @@ def _cmd_congruent(args) -> int:
 
 def _cmd_highest_weight(args) -> int:
     w = words.parse_word(args.word)
-    n = _infer_n(args, w)
+    n = _bound(args, max(w, default=1))
     result = graphs.highest_weight_word(w, n, args.kind)
     if args.format == "json":
         print(json.dumps({"highest_weight": words.format_word(result)}))
@@ -199,45 +188,23 @@ def _cmd_highest_weight(args) -> int:
     return EXIT_OK
 
 
-def _print_count(args, formula: int, brute: Optional[int]) -> int:
+def _cmd_count(args) -> int:
+    shape = words.parse_composition(args.shape)
+    n = _bound(args, args.bound(shape) if args.bound else None)
+    counts = {"formula": args.formula(shape, n)}
+    if args.brute:
+        counts["brute"] = args.oracle(shape, n)
     if args.format == "json":
-        payload = {"formula": formula}
-        if brute is not None:
-            payload["brute"] = brute
-        print(json.dumps(payload))
-    elif brute is None:
-        print(formula)
+        print(json.dumps(counts))
+    elif args.brute:
+        for key, count in counts.items():
+            print(f"{key}: {count}")
     else:
-        print(f"formula: {formula}")
-        print(f"brute: {brute}")
-    if brute is not None and brute != formula:
+        print(counts["formula"])
+    if args.brute and counts["brute"] != counts["formula"]:
         print("oracle mismatch", file=sys.stderr)
         return EXIT_MISMATCH
     return EXIT_OK
-
-
-def _cmd_classsize(args) -> int:
-    shape = words.parse_composition(args.shape)
-    n = _need_n(args, default=max(len(shape), 1))
-    formula = counting.hypo_class_size(shape, n)
-    brute = counting.hypo_class_size_brute(shape, n) if args.brute else None
-    return _print_count(args, formula, brute)
-
-
-def _cmd_count_qrt(args) -> int:
-    shape = words.parse_composition(args.shape)
-    n = _need_n(args)
-    formula = counting.count_qrt(shape, n)
-    brute = counting.count_qrt_brute(shape, n) if args.brute else None
-    return _print_count(args, formula, brute)
-
-
-def _cmd_count_components(args) -> int:
-    shape = words.parse_composition(args.shape)
-    n = _need_n(args)
-    formula = counting.count_iso_plac_components_with_qrw(shape, n)
-    brute = counting.count_iso_plac_components_with_qrw_brute(shape, n) if args.brute else None
-    return _print_count(args, formula, brute)
 
 
 def _sim_key(w: words.Word, n: int) -> tuple:
@@ -412,9 +379,6 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except TooLargeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD

@@ -114,9 +114,9 @@ def _walk(
                 keys.append(target)
                 in_labels.append(bit)
             elif j == 0:
-                raise ValueError("root must have no in-edges")
+                raise AssertionError("root must have no in-edges")
             elif in_labels[j] & bit:
-                raise ValueError("some vertex has two in-edges with one label")
+                raise AssertionError("some vertex has two in-edges with one label")
             else:
                 in_labels[j] |= bit
             row.append((i, j))

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .words import Word, _check_bound, _check_label, has_inversion
+from .words import Word, _check_label, check_alphabet, has_inversion
 
 
 class BracketReduction(NamedTuple):
@@ -134,16 +134,14 @@ def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
     mask holding 1 << i for each label i whose bracket cancelled a "-+"
     pair.  A cancellation needs an i+1 left of an i, and the first i
     with an i+1 to its left always cancels, so the mask is exactly the
-    set of labels for which ``u`` has an i-inversion.  A symbol outside
-    1..n is a "+" or "-" only for labels outside 1..n-1, so it is passed
-    over.
+    set of labels for which ``u`` has an i-inversion.  ``u`` must be a
+    word over 1..n; every caller has checked it or reached it by
+    lowering from a checked root.
     """
     open_minus = [0] * (n + 1)
     plus = [-1] * (n + 1)
     cancelled = 0
     for pos, a in enumerate(u):
-        if not 0 < a <= n:
-            continue
         if open_minus[a]:
             open_minus[a] -= 1
             cancelled |= 1 << a
@@ -157,7 +155,7 @@ def _lowerings(u: Word, n: int, quasi: bool) -> dict[int, Word]:
     """The lowering table of ``u`` from one bracket scan; the quasi
     table leaves out the labels whose bracket cancelled a pair.  The
     bound 1 has no labels, so its table is empty."""
-    _check_bound(n)
+    check_alphabet(u, n)
     plus, cancelled = _bracket_scan(u, n)
     skip = cancelled if quasi else 0
     lowered = {}

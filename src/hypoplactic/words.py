@@ -83,12 +83,14 @@ def standardize(w: Word) -> Word:
 
 
 def is_standard(w: Word) -> bool:
-    """Whether ``w`` contains each of 1..len(w) exactly once."""
+    """Whether ``w`` contains each of 1..len(w) exactly once.  Its
+    symbols are checked first, so (1.0, 2.0) is rejected rather than
+    compared by value."""
+    _check_symbols(w)
     return sorted(w) == list(range(1, len(w) + 1))
 
 
 def _require_standard(w: Word) -> None:
-    _check_symbols(w)
     if not is_standard(w):
         raise ValueError(f"expected a standard word, got {format_word(w)!r}")
 
@@ -145,6 +147,8 @@ def coarser(b: Composition, a: Composition) -> bool:
     Equivalently, every proper partial sum of ``b`` is a proper partial
     sum of ``a``.  Both compositions must have the same weight.
     """
+    b = validate_composition(b)
+    a = validate_composition(a)
     if sum(b) != sum(a):
         raise ValueError("coarser() requires compositions of equal weight")
     return set(descents_of_composition(b)) <= set(descents_of_composition(a))
@@ -157,6 +161,7 @@ def coarsenings(a: Composition) -> list[Composition]:
     are visited by descending bitmask, so ``a`` itself comes first and
     the one-part composition comes last.
     """
+    a = validate_composition(a)
     ds = descents_of_composition(a)
     total = sum(a)
     out = []

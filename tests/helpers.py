@@ -43,6 +43,16 @@ def sim_key(w, n):
     return component.signature(), component.index_of(w)
 
 
+def two_in_edges_scan(u, n):
+    """A faulty bracket scan with no cancellations: label 1 lowers the
+    first symbol of a word that starts with 1 and the second symbol of
+    any other, and label 2 lowers the second symbol.  The walk adds one
+    unit to the key digit of the lowered position, so from the root 11
+    over n = 3 both 11 -1-> 21 -1-> 22 and 11 -2-> 13 -1-> 23 reach the
+    key of 22, which then has two in-edges labelled 1."""
+    return [-1, 0 if u[0] == 1 else 1, 1] + [-1] * (n - 2), 0
+
+
 def run_optimized(code):
     """Run ``code`` in a fresh ``python -O``, which strips ``assert``
     statements, with the package importable; return the finished

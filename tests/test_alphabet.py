@@ -60,6 +60,7 @@ from hypoplactic.operators import (
 from hypoplactic.quasiribbon import (
     QuasiRibbonTableau,
     QuasiRibbonTabloid,
+    RecordingRibbon,
     hypo_congruent,
     hypo_rsk,
     hypoplactic_relations,
@@ -76,6 +77,7 @@ from hypoplactic.words import (
     format_word,
     has_inversion,
     inverse_permutation,
+    is_standard,
     schuetzenberger_involution,
     weight,
     words_of_weight,
@@ -374,12 +376,23 @@ def test_weak_composition_check_runs_once_per_call(monkeypatch):
     assert calls == [(2, 1, 2), (5,)]
 
 
-@pytest.mark.parametrize("call", [descent_composition, descent_set, inverse_permutation],
+def one_row_recording_ribbon(w):
+    return RecordingRibbon((len(w),), w)
+
+
+def one_row_recording_ribbon_from_json(w):
+    return RecordingRibbon.from_json_dict({"shape": [len(w)], "rows": [list(w)]})
+
+
+@pytest.mark.parametrize("call", [descent_composition, descent_set, inverse_permutation,
+                                  is_standard, one_row_recording_ribbon,
+                                  one_row_recording_ribbon_from_json],
                          ids=lambda f: f.__name__)
-@pytest.mark.parametrize("w", [(1.0, 2.0), (2, 1.0), ("1",)], ids=str)
+@pytest.mark.parametrize("w", [(1.0, 2.0), (2, 1.0), ("1",), (True,)], ids=str)
 def test_standard_words_reject_symbols_that_are_not_ints(call, w):
-    """``is_standard`` compares by value, so (1.0, 2.0) would pass it;
-    the symbols are checked first."""
+    """A standard word is compared by value with 1..N, which (1.0, 2.0)
+    and (True,) would pass; the symbols are checked first, also for the
+    labels of a recording ribbon."""
     with pytest.raises(ValueError) as excinfo:
         call(w)
     assert str(excinfo.value) == "entries must be positive integers"

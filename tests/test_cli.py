@@ -11,6 +11,8 @@ import pytest
 from hypoplactic import operators, quasiribbon, words
 from hypoplactic.cli import main
 
+from helpers import two_in_edges_scan
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -386,6 +388,15 @@ class TestInternalCheck:
         assert code == 3
         assert out == ""
         assert err == "error: internal check failed: root not reached\n"
+
+    def test_walk_invariant_maps_to_exit_3(self, capsys, monkeypatch):
+        from hypoplactic import graphs
+
+        monkeypatch.setattr(graphs, "_bracket_scan", two_in_edges_scan)
+        code, out, err = run(capsys, "component", "11", "-n", "3")
+        assert code == 3
+        assert out == ""
+        assert err == "error: internal check failed: some vertex has two in-edges with one label\n"
 
 
 def test_import_leaves_dataclasses_out():

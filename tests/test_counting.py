@@ -29,6 +29,7 @@ from hypoplactic.quasiribbon import (
 )
 from hypoplactic.words import (
     coarsenings,
+    coarser,
     compositions,
     descent_composition,
     parse_word,
@@ -251,11 +252,31 @@ def test_formulas_and_oracles_reject_n_below_one(count, n):
             count(shape, n)
 
 
-@pytest.mark.parametrize("count", [*FORMULAS_AND_ORACLES, novelli_recursion_check],
-                         ids=lambda f: f.__name__)
-@pytest.mark.parametrize("shape", [(2.5,), (2, 1.0), ("a",), (2, True)])
+def coarsenings_of(shape, n):
+    return coarsenings(shape)
+
+
+def coarser_than_one_part(shape, n):
+    return coarser((1,), shape)
+
+
+def one_part_coarser_than(shape, n):
+    return coarser(shape, (1,))
+
+
+# The calls that take a composition, each as (shape, n): every count,
+# and the coarsening helpers, with the shape in each argument of coarser.
+COMPOSITION_CALLS = [*FORMULAS_AND_ORACLES, novelli_recursion_check, coarsenings_of,
+                     coarser_than_one_part, one_part_coarser_than]
+
+
+@pytest.mark.parametrize("count", COMPOSITION_CALLS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("shape", [(2.5,), (2, 1.0), ("a",), (2, True), (1.5, 1.5), (True, 1),
+                                   (0, 2), (1, -1, 2)])
 def test_formulas_and_oracles_reject_parts_that_are_not_integers(count, shape):
-    with pytest.raises(ValueError, match="composition parts must be positive integers"):
+    # a part below 1 is rejected the same way, not read as an empty part
+    # or reported as a bad descent
+    with pytest.raises(ValueError, match="^composition parts must be positive integers$"):
         count(shape, 3)
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoplactic import graphs
 from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
@@ -38,7 +39,7 @@ from hypoplactic.words import (
 )
 from hypoplactic.young import is_yamanouchi, rsk
 
-from helpers import sim_key, standard_words, words_up_to
+from helpers import sim_key, standard_words, two_in_edges_scan, words_up_to
 
 
 def quasi_components(n, length):
@@ -73,6 +74,15 @@ class TestExplore:
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             explore_component((3,), 2, QUASI_CRYSTAL)
+
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_walk_invariant_is_an_internal_check(self, monkeypatch, kind):
+        """Only a fault of the library can give a vertex two in-edges
+        with one label, so the walk reports it as a failed internal
+        check, not as a bad input."""
+        monkeypatch.setattr(graphs, "_bracket_scan", two_in_edges_scan)
+        with pytest.raises(AssertionError, match="^some vertex has two in-edges with one label$"):
+            explore_component((1, 1), 3, kind)
 
     def test_closure_and_degrees(self):
         from hypoplactic.operators import kashiwara_e, kashiwara_f, quasi_e, quasi_f

@@ -202,23 +202,36 @@ class TestLoweringTables:
         tables_match(*case)
 
     def test_symbols_above_the_bound(self):
-        # labels stop at n-1 even when the word mentions larger symbols
+        # a word over 1..n gets its table; a symbol above n is rejected,
+        # as by every other (word, n) call
         for u in words_up_to(5, 4):
             for n in range(1, 5):
-                tables_match(u, n)
+                if max(u, default=1) <= n:
+                    tables_match(u, n)
+                    continue
+                for table, _ in TABLES:
+                    with pytest.raises(ValueError, match=f"has a symbol above {n}$"):
+                        table(u, n)
 
     def test_symbols_outside_the_alphabet(self):
-        # a symbol below 1 or above n brackets no label in 1..n-1
+        # a symbol below 1 or above n is rejected rather than bracketing
+        # no label
         for n in range(1, 5):
             for length in range(5):
                 for u in product(range(-1, n + 2), repeat=length):
-                    tables_match(u, n)
+                    if all(1 <= a <= n for a in u):
+                        tables_match(u, n)
+                        continue
+                    for table, _ in TABLES:
+                        with pytest.raises(ValueError):
+                            table(u, n)
 
     def test_no_labels_below_bound_one(self):
         # labels run over 1..n-1, which is empty for n = 1; a bound
         # below 1 is rejected
-        for u in words_up_to(4, 3):
+        for u in words_up_to(1, 3):
             assert kashiwara_lowerings(u, 1) == quasi_lowerings(u, 1) == {}
+        for u in words_up_to(4, 3):
             for n in range(-2, 1):
                 for table in (kashiwara_lowerings, quasi_lowerings):
                     with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
