@@ -36,7 +36,6 @@ from .words import (
     check_alphabet,
     composition_from_descents,
     format_word,
-    has_inversion,
     parse_word,
     standardize,
     weight,
@@ -82,10 +81,12 @@ def _walk(
     their ``_key``: f_i at position p raises one digit from i to i+1 <= n,
     which adds the digit's unit to the key, so a target is found by one
     addition and its word is built only when it is new.  The walk checks
-    every edge it follows: no edge enters the root and no vertex has two
-    in-edges with one label.  It returns the visit order, the numbering
-    by key, each vertex's out-edges as ``(label, target index)`` pairs
-    and each vertex's mask.  Once more than ``limit`` vertices are
+    every edge it follows: no vertex has two in-edges with one label.
+    No edge can enter the root: every edge adds a positive unit to its
+    source's key, and every vertex is reached from the root by such
+    edges, so each target's key exceeds the root's.  It returns the
+    visit order, the numbering by key, each vertex's out-edges as
+    ``(label, target index)`` pairs and each vertex's mask.  Once more than ``limit`` vertices are
     found, it stops after the vertex whose edges it is reading; the
     later vertices then have no pairs and no mask."""
     quasi = kind == QUASI_CRYSTAL
@@ -113,8 +114,6 @@ def _walk(
                 order.append(u[:pos] + (i + 1,) + u[pos + 1:])
                 keys.append(target)
                 in_labels.append(bit)
-            elif j == 0:
-                raise AssertionError("root must have no in-edges")
             elif in_labels[j] & bit:
                 raise AssertionError("some vertex has two in-edges with one label")
             else:
@@ -318,14 +317,18 @@ def highest_weight_word(w: Word, n: int, kind: str) -> Word:
 def is_highest_weight_hypo(w: Word) -> bool:
     """Whether no quasi raising operator acts on ``w``: the word holds
     every symbol 1..max(w) and has an i-inversion for each i below
-    max(w)."""
+    max(w), that is, some i+1 stands left of the last i."""
     _check_symbols(w)
-    if not w:
-        return True
-    m = max(w)
-    if set(w) != set(range(1, m + 1)):
+    m = max(w, default=0)
+    first = [None] * (m + 1)  # per symbol, its first and last position
+    last = [None] * (m + 1)
+    for pos, a in enumerate(w):
+        if first[a] is None:
+            first[a] = pos
+        last[a] = pos
+    if None in last[1:]:
         return False
-    return all(has_inversion(w, i) for i in range(1, m))
+    return all(first[i + 1] < last[i] for i in range(1, m))
 
 
 def sim_related(u: Word, v: Word, n: int) -> bool:

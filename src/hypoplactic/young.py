@@ -8,6 +8,11 @@ and repr live in one private base, ``_ColumnFilling``, which this
 module's ``Tabloid`` and the quasi-ribbon tabloid share; ``column_reading``
 reads either, and reads the quasi-ribbon tableau too.  Rows, columns,
 words and inserted symbols are checked by ``words._check_symbols``.
+
+Schensted insertion is one private bumping loop over a whole word,
+shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
+records only the row in which each insertion ended; ``rsk`` builds the
+recording tableau Q from those end rows after the loop.
 """
 
 from __future__ import annotations
@@ -200,20 +205,36 @@ class Tabloid(_ColumnFilling):
         return cls(data["columns"])
 
 
-def _row_insert(rows: list[list[int]], a: int) -> tuple[int, int]:
-    """Bump ``a`` into mutable ``rows``; return the new cell's (row, col)."""
-    r = 0
-    while True:
-        if r == len(rows):
+def _schensted(
+    w: Word, rows: list[list[int]] | None = None
+) -> tuple[list[list[int]], list[int]]:
+    """Check the symbols of ``w``, then bump each of them in turn into
+    ``rows`` (a new empty tableau if ``None``), which it mutates and
+    returns with the row in which each insertion ended.
+
+    A symbol that is at least every entry of a row is appended to it and
+    the insertion ends there; otherwise the symbol replaces the leftmost
+    strictly greater entry, and the displaced entry goes on into the next
+    row down, or starts a new row below the last one.  The loop keeps no
+    other record: the recording tableau is built from the end rows
+    afterwards.
+    """
+    _check_symbols(w)
+    if rows is None:
+        rows = []
+    ends = []
+    for a in w:
+        for r, row in enumerate(rows):
+            c = bisect_right(row, a)
+            if c == len(row):
+                row.append(a)
+                break
+            row[c], a = a, row[c]
+        else:
+            r = len(rows)
             rows.append([a])
-            return r, 0
-        row = rows[r]
-        if a >= row[-1]:
-            row.append(a)
-            return r, len(row) - 1
-        c = bisect_right(row, a)
-        row[c], a = a, row[c]
-        r += 1
+        ends.append(r)
+    return rows, ends
 
 
 def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
@@ -223,9 +244,7 @@ def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
     there; otherwise it replaces the leftmost strictly greater entry and
     the displaced entry is inserted into the next row down.
     """
-    _check_symbols((a,))
-    rows = [list(row) for row in T.rows]
-    _row_insert(rows, a)
+    rows, _ = _schensted((a,), [list(row) for row in T.rows])
     return YoungTableau(rows)
 
 
@@ -233,20 +252,20 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
     """Insert the word symbol by symbol, recording insertion order.
 
     Returns the insertion tableau P and the recording tableau Q, which
-    always share a shape; the map w -> (P, Q) is injective.  Both are
-    valid by construction once the symbols are positive integers, so
-    they are built without re-checking their entries.
+    always share a shape; the map w -> (P, Q) is injective.  The
+    insertion of the i-th symbol ends by adding a cell at the end of
+    some row, so Q is built from the end rows after the loop: i goes at
+    the end of the row its insertion ended in, and each row of Q then
+    increases.  That Q has P's shape is checked.  Both are valid by
+    construction once the symbols are positive integers, so they are
+    built without re-checking their entries.
     """
-    _check_symbols(w)
-    p_rows: list[list[int]] = []
-    q_rows: list[list[int]] = []
-    for i, a in enumerate(w, start=1):
-        r, c = _row_insert(p_rows, a)
-        if r == len(q_rows):
-            q_rows.append([])
+    p_rows, ends = _schensted(w)
+    q_rows: list[list[int]] = [[] for _ in p_rows]
+    for i, r in enumerate(ends, start=1):
         q_rows[r].append(i)
-        if len(q_rows[r]) - 1 != c:
-            raise AssertionError("P and Q grew different cells")
+    if list(map(len, q_rows)) != list(map(len, p_rows)):
+        raise AssertionError("P and Q grew different cells")
     return (
         YoungTableau._trusted(tuple(map(tuple, p_rows))),
         StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),
@@ -279,20 +298,20 @@ def is_tableau_word(w: Word) -> bool:
 def is_yamanouchi(w: Word) -> bool:
     """Whether every suffix of ``w`` has non-increasing weight."""
     _check_symbols(w)
-    if not w:
-        return True
-    m = max(w)
-    counts = [0] * m
+    counts = [0] * (max(w, default=0) + 1)
     for a in reversed(w):
-        counts[a - 1] += 1
-        if any(counts[k] < counts[k + 1] for k in range(m - 1)):
+        counts[a] += 1
+        # only the pair (a-1, a) can break when a is counted
+        if a > 1 and counts[a - 1] < counts[a]:
             return False
     return True
 
 
 def plactic_congruent(u: Word, v: Word) -> bool:
-    """Whether ``u`` and ``v`` have the same insertion tableau P."""
-    return rsk(u)[0] == rsk(v)[0]
+    """Whether ``u`` and ``v`` have the same insertion tableau P, by
+    comparing the rows that bumping builds; no recording tableau is
+    made."""
+    return _schensted(u)[0] == _schensted(v)[0]
 
 
 def plactic_relations(n: int) -> list[tuple[Word, Word]]:

@@ -2,6 +2,7 @@
 
 import subprocess
 import sys
+from bisect import bisect_right
 from itertools import permutations
 from pathlib import Path
 
@@ -19,6 +20,23 @@ CLASS_143214 = sorted(
         "441321", "443121", "443211",
     ]
 )
+
+
+def row_insert(rows, a):
+    """Oracle for Schensted insertion, one symbol at a time: bump ``a``
+    into mutable ``rows``; return the new cell's (row, col)."""
+    r = 0
+    while True:
+        if r == len(rows):
+            rows.append([a])
+            return r, 0
+        row = rows[r]
+        if a >= row[-1]:
+            row.append(a)
+            return r, len(row) - 1
+        c = bisect_right(row, a)
+        row[c], a = a, row[c]
+        r += 1
 
 
 def words_up_to(n, max_len):

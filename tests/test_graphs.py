@@ -21,7 +21,7 @@ from hypoplactic.graphs import (
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.operators import quasi_f
+from hypoplactic.operators import quasi_e, quasi_f
 from hypoplactic.quasiribbon import (
     highest_weight_qrw,
     hypo_rsk,
@@ -84,6 +84,22 @@ class TestExplore:
         with pytest.raises(AssertionError, match="^some vertex has two in-edges with one label$"):
             explore_component((1, 1), 3, kind)
 
+    @pytest.mark.parametrize("kind", [CRYSTAL, QUASI_CRYSTAL])
+    def test_every_edge_raises_the_walk_key(self, kind):
+        """Each edge adds a positive unit to its source's key, so no
+        target's key equals the root's and the walk needs no test for an
+        edge into the root."""
+        for n in range(1, 5):
+            seen = set()
+            for w in words_up_to(n, 5):
+                if w in seen:
+                    continue
+                c = explore_component(w, n, kind)
+                seen |= c.vertices
+                for u, _, v in c.edges:
+                    assert graphs._key(v, n) > graphs._key(u, n)
+                    assert v != c.root
+
     def test_closure_and_degrees(self):
         from hypoplactic.operators import kashiwara_e, kashiwara_f, quasi_e, quasi_f
 
@@ -145,6 +161,20 @@ class TestIsHighestWeightHypo:
         # highest weight does not pass to suffixes
         assert is_highest_weight_hypo((2, 1, 1, 2))
         assert not is_highest_weight_hypo((2, 1, 1, 2)[3:])
+
+    def test_against_quasi_raising(self):
+        """The definition: no quasi raising operator e_i acts, for any i
+        from 1 to max(w)."""
+        for w in words_up_to(4, 7):
+            no_raising = all(quasi_e(w, i) is None for i in range(1, max(w, default=0) + 1))
+            assert is_highest_weight_hypo(w) == no_raising
+
+    def test_long_descending_word(self):
+        w = tuple(range(8000, 0, -1))
+        assert is_highest_weight_hypo(w)
+        assert not is_highest_weight_hypo(w[:-2] + (1, 2))
+        assert not is_highest_weight_hypo(w[:-1])
+        assert not is_highest_weight_hypo(tuple(range(1, 8001)))
 
 
 class TestSignatures:

@@ -12,13 +12,16 @@ i-inversions; the split of crystal edges against the quasi operator of
 each edge; vertex weights against the characters F_α and s_λ; the
 tableaux that insertion builds without checks, and the components that
 exploration builds without checks, against the public constructors
-that check them; the isomorphism key ``Component.shape`` against
-signatures; and the hypoplactic class picked by insertion shape
-against whole tableaux.
+that check them; Schensted insertion against a fold of one-symbol
+bumping, and the shape of P against Greene's theorem; the isomorphism
+key ``Component.shape`` against signatures; and the hypoplactic class
+picked by insertion shape against whole tableaux.
 """
 
+import random
 from collections import Counter, deque
 from fractions import Fraction
+from functools import reduce
 from itertools import product
 
 import pytest
@@ -65,9 +68,16 @@ from hypoplactic.words import (
     words_of_weight,
     words_over,
 )
-from hypoplactic.young import StandardYoungTableau, YoungTableau, rsk
+from hypoplactic.young import (
+    StandardYoungTableau,
+    YoungTableau,
+    column_reading,
+    plactic_congruent,
+    rsk,
+    schensted_insert,
+)
 
-from helpers import CLASS_143214, sim_key, words_up_to
+from helpers import CLASS_143214, row_insert, sim_key, words_up_to
 
 TABLES = ((kashiwara_lowerings, kashiwara_f), (quasi_lowerings, quasi_f))
 PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
@@ -447,6 +457,88 @@ class TestInsertionOutputsAgainstPublicConstructors:
         with pytest.raises(ValueError) as excinfo:
             insert(w)
         assert str(excinfo.value) == message
+
+
+def assert_schensted_matches_row_insert_fold(w):
+    """P against a fold of one-symbol bumping, and Q against the cell
+    that each prefix's P gains; ``schensted_insert`` and
+    ``plactic_congruent`` share the loop that ``rsk`` runs."""
+    rows = []
+    shape = []
+    q_cells = {}
+    for i, a in enumerate(w, start=1):
+        row_insert(rows, a)
+        grown = [len(row) for row in rows]
+        gained = [
+            (r, new - 1) for r, (old, new) in enumerate(zip(shape + [0], grown)) if new != old
+        ]
+        assert len(gained) == 1
+        q_cells[gained[0]] = i
+        shape = grown
+    P, Q = rsk(w)
+    assert P.rows == tuple(map(tuple, rows))
+    assert {(r, c): i for r, row in enumerate(Q.rows) for c, i in enumerate(row)} == q_cells
+    assert reduce(schensted_insert, w, YoungTableau()) == P
+    assert plactic_congruent(w, column_reading(P))
+    folded_reverse = []
+    for a in reversed(w):
+        row_insert(folded_reverse, a)
+    assert plactic_congruent(w, w[::-1]) == (folded_reverse == rows)
+
+
+def longest_increasing(w, strict):
+    """Length of the longest weakly (or strictly) increasing
+    subsequence of ``w``: the dynamic programme over positions, with the
+    best length ending at each symbol kept in a prefix-maximum (Fenwick)
+    tree over the symbols."""
+    m = max(w, default=0)
+    tree = [0] * (m + 1)
+    best = 0
+    for a in w:
+        k, length = a - 1 if strict else a, 0
+        while k > 0:
+            length = max(length, tree[k])
+            k -= k & -k
+        length += 1
+        best = max(best, length)
+        k = a
+        while k <= m:
+            tree[k] = max(tree[k], length)
+            k += k & -k
+    return best
+
+
+class TestSchenstedAgainstRowInsertFold:
+    def test_exhaustive(self):
+        """Every word over n <= 4 up to length 6."""
+        for w in words_up_to(4, 6):
+            assert_schensted_matches_row_insert_fold(w)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=300).map(tuple))
+    def test_long_words_over_four_symbols(self, w):
+        assert_schensted_matches_row_insert_fold(w)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda length: st.lists(st.integers(1, length), min_size=length, max_size=length)
+    ).map(tuple))
+    def test_long_words_over_as_many_symbols_as_their_length(self, w):
+        assert_schensted_matches_row_insert_fold(w)
+
+    @pytest.mark.parametrize("regime", ["small", "large"])
+    def test_greene_first_row_and_row_count(self, regime):
+        """Greene's theorem: the first row of P is as long as the longest
+        weakly increasing subsequence, and P has as many rows as the
+        longest strictly decreasing subsequence is long."""
+        rng = random.Random(2000)
+        for length in (0, 1, 2, 10, 100, 500, 1000, 2000, *(rng.randint(1, 2000) for _ in range(6))):
+            n = 4 if regime == "small" else max(length, 1)
+            w = tuple(rng.randint(1, n) for _ in range(length))
+            P = rsk(w)[0]
+            first_row = len(P.rows[0]) if P.rows else 0
+            assert first_row == longest_increasing(w, strict=False)
+            assert len(P.rows) == longest_increasing(tuple(n + 1 - a for a in w), strict=True)
 
 
 def explored_components(max_n, max_len):

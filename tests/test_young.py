@@ -151,16 +151,17 @@ class TestRsk:
             seen[key] = w
 
     def test_cell_mismatch_fails_under_optimize(self):
-        """The check that P and Q grow the same cell is a raise, not an
-        ``assert``, so ``python -O`` keeps it: a bump that reports the
-        wrong column is refused."""
+        """The check that Q has P's shape is a raise, not an ``assert``,
+        so ``python -O`` keeps it: a bumping loop that reports the wrong
+        end row is refused."""
         result = run_optimized(
             "from hypoplactic import young\n"
-            "row_insert = young._row_insert\n"
-            "def shifted(rows, a):\n"
-            "    r, c = row_insert(rows, a)\n"
-            "    return r, c + 1\n"
-            "young._row_insert = shifted\n"
+            "schensted = young._schensted\n"
+            "def wrong_end(w, rows=None):\n"
+            "    rows, ends = schensted(w, rows)\n"
+            "    ends[-1] = 0\n"
+            "    return rows, ends\n"
+            "young._schensted = wrong_end\n"
             "young.rsk((2, 1))\n"
         )
         assert result.returncode == 1
@@ -212,6 +213,22 @@ class TestYamanouchi:
         assert is_yamanouchi(parse_word("1121"))
         assert not is_yamanouchi(parse_word("1231"))
         assert is_yamanouchi(())
+
+    def test_against_definition(self):
+        """Every suffix has a non-increasing ``weight``."""
+        for w in words_up_to(4, 7):
+            suffixes_ok = all(
+                all(x >= y for x, y in zip(weight(w[k:]), weight(w[k:])[1:]))
+                for k in range(len(w))
+            )
+            assert is_yamanouchi(w) == suffixes_ok
+
+    def test_long_descending_word(self):
+        w = tuple(range(20000, 0, -1))
+        assert is_yamanouchi(w)
+        assert is_yamanouchi(w + w)
+        assert not is_yamanouchi((20000,) + w)
+        assert not is_yamanouchi(w + (2,))
 
     def test_characterizes_crystal_highest_weight(self):
         for w in words_up_to(3, 5):
