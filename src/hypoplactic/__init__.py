@@ -43,11 +43,9 @@ from .operators import (
     kashiwara_counts,
     kashiwara_e,
     kashiwara_f,
-    kashiwara_lowerings,
     quasi_counts,
     quasi_e,
     quasi_f,
-    quasi_lowerings,
 )
 from .quasiribbon import (
     QuasiRibbonTableau,

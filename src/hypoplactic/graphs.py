@@ -2,10 +2,11 @@
 
 Both graphs have all words over 1..n as vertices and an edge labelled i
 from u to v exactly when the lowering operator for i sends u to v; the
-two graphs differ only in the operator family.  Components are finite
-(operators preserve length), every vertex has at most one in- and one
-out-edge per label, and each component has a unique root on which no
-raising operator acts and from which lowering reaches every vertex.
+two graphs differ only in the family of lowering maps.  Components are
+finite (lowering preserves length), every vertex has at most one in-
+and one out-edge per label, and each component has a unique root on
+which no raising operator acts and from which lowering reaches every
+vertex.
 
 Isomorphism of components (bijective, weight-preserving, edge- and
 label-preserving) is decided by canonical signatures: a breadth-first
@@ -22,7 +23,6 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .operators import _bracket_scan
 from .quasiribbon import (
     _sort_positions,
     hypo_congruent,
@@ -67,6 +67,33 @@ def _key(w: Word, n: int) -> int:
     return key
 
 
+def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
+    """Bracket every label 1..n-1 of ``u`` in one left-to-right scan.
+
+    Each symbol a is a "+" for label a and a "-" for label a-1, so one
+    scan keeps, per label, a count of the "-" still open and the
+    position (0-indexed) of the rightmost surviving "+".  Returns these
+    positions, indexed by label and -1 where no "+" survives, and a bit
+    mask holding 1 << i for each label i whose bracket cancelled a "-+"
+    pair.  A cancellation needs an i+1 left of an i, and the first i
+    with an i+1 to its left always cancels, so the mask is exactly the
+    set of labels for which ``u`` has an i-inversion.  ``u`` must be a
+    word over 1..n; every caller has checked it or reached it by
+    lowering from a checked root.
+    """
+    open_minus = [0] * (n + 1)
+    plus = [-1] * (n + 1)
+    cancelled = 0
+    for pos, a in enumerate(u):
+        if open_minus[a]:
+            open_minus[a] -= 1
+            cancelled |= 1 << a
+        else:
+            plus[a] = pos
+        open_minus[a - 1] += 1  # slot 0 takes the unused "-" of each 1
+    return plus, cancelled
+
+
 def _walk(
     root: Word, n: int, kind: str, limit: float = float("inf")
 ) -> tuple[list[Word], dict[int, int], list[tuple], list[int]]:
@@ -86,9 +113,10 @@ def _walk(
     source's key, and every vertex is reached from the root by such
     edges, so each target's key exceeds the root's.  It returns the
     visit order, the numbering by key, each vertex's out-edges as
-    ``(label, target index)`` pairs and each vertex's mask.  Once more than ``limit`` vertices are
-    found, it stops after the vertex whose edges it is reading; the
-    later vertices then have no pairs and no mask."""
+    ``(label, target index)`` pairs and each vertex's mask.  Once more
+    than ``limit`` vertices are found, it stops after the vertex whose
+    edges it is reading; the later vertices then have no pairs and no
+    mask."""
     quasi = kind == QUASI_CRYSTAL
     labels = [(i, 1 << i) for i in range(1, n)]
     b = n.bit_length()
@@ -353,16 +381,17 @@ def same_recording_ribbon(u: Word, v: Word, n: int) -> bool:
 
 
 def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:
-    """Edges of the crystal component of ``w``, split into those the
-    quasi operators also perform and the crystal-only remainder."""
+    """Edges of the crystal component of ``w``, split into those that
+    quasi-Kashiwara lowering also performs and the crystal-only
+    remainder."""
     return _split_edges(explore_component(w, n, CRYSTAL))
 
 
 def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
-    """The edges of ``c`` in sorted order, split into those the quasi
-    operators also perform and the crystal-only remainder, by the
-    i-inversion masks that the walk stored; every edge of a
-    quasi-crystal component is a quasi edge."""
+    """The edges of ``c`` in sorted order, split into those that
+    quasi-Kashiwara lowering also performs and the crystal-only
+    remainder, by the i-inversion masks that the walk stored; every
+    edge of a quasi-crystal component is a quasi edge."""
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
     for u, i, v, quasi in c._flagged_edges():

@@ -13,18 +13,13 @@ the leftmost i+1, respectively the rightmost i.  Wherever a quasi
 operator is defined it agrees with its classical counterpart.
 
 Partiality is a value: undefined applications return None.
-
-The lowering tables ``kashiwara_lowerings`` and ``quasi_lowerings``
-give a word's images under every lowering operator at once, from one
-bracket scan of the word that serves both flavours; the per-label
-operators remain the definitions.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple, Optional
 
-from .words import Word, _check_label, check_alphabet, has_inversion
+from .words import Word, _check_label, _check_symbols, has_inversion
 
 
 class BracketReduction(NamedTuple):
@@ -55,6 +50,7 @@ def bracket_reduce(w: Word, i: int) -> BracketReduction:
     they survive.
     """
     _check_label(i)
+    _check_symbols(w)
     plus: list[int] = []
     minus: list[int] = []
     for pos, a in enumerate(w, start=1):
@@ -122,65 +118,3 @@ def quasi_counts(u: Word, i: int) -> tuple[int, int]:
         sum(1 for a in u if a == i + 1),
         sum(1 for a in u if a == i),
     )
-
-
-def _bracket_scan(u: Word, n: int) -> tuple[list[int], int]:
-    """Bracket every label 1..n-1 of ``u`` in one left-to-right scan.
-
-    Each symbol a is a "+" for label a and a "-" for label a-1, so one
-    scan keeps, per label, a count of the "-" still open and the
-    position (0-indexed) of the rightmost surviving "+".  Returns these
-    positions, indexed by label and -1 where no "+" survives, and a bit
-    mask holding 1 << i for each label i whose bracket cancelled a "-+"
-    pair.  A cancellation needs an i+1 left of an i, and the first i
-    with an i+1 to its left always cancels, so the mask is exactly the
-    set of labels for which ``u`` has an i-inversion.  ``u`` must be a
-    word over 1..n; every caller has checked it or reached it by
-    lowering from a checked root.
-    """
-    open_minus = [0] * (n + 1)
-    plus = [-1] * (n + 1)
-    cancelled = 0
-    for pos, a in enumerate(u):
-        if open_minus[a]:
-            open_minus[a] -= 1
-            cancelled |= 1 << a
-        else:
-            plus[a] = pos
-        open_minus[a - 1] += 1  # slot 0 takes the unused "-" of each 1
-    return plus, cancelled
-
-
-def _lowerings(u: Word, n: int, quasi: bool) -> dict[int, Word]:
-    """The lowering table of ``u`` from one bracket scan; the quasi
-    table leaves out the labels whose bracket cancelled a pair.  The
-    bound 1 has no labels, so its table is empty."""
-    check_alphabet(u, n)
-    plus, cancelled = _bracket_scan(u, n)
-    skip = cancelled if quasi else 0
-    lowered = {}
-    for i in range(1, n):
-        pos = plus[i]
-        if pos >= 0 and not skip >> i & 1:
-            lowered[i] = u[:pos] + (i + 1,) + u[pos + 1:]
-    return lowered
-
-
-def kashiwara_lowerings(u: Word, n: int) -> dict[int, Word]:
-    """``{i: kashiwara_f(u, i)}`` for every label i in 1..n-1 where the
-    operator is defined, by increasing label, from one bracket scan of
-    ``u``: f_i changes the rightmost surviving "+" into i+1."""
-    return _lowerings(u, n, False)
-
-
-def quasi_lowerings(u: Word, n: int) -> dict[int, Word]:
-    """``{i: quasi_f(u, i)}`` for every label i in 1..n-1 where the
-    operator is defined, by increasing label, from one bracket scan of
-    ``u``.
-
-    The quasi operator is the Kashiwara operator restricted to words
-    with no i-inversion, and those are exactly the labels whose bracket
-    cancels nothing; there every i survives as a "+", so the rightmost
-    surviving "+" is the last i, which is what quasi_f changes.
-    """
-    return _lowerings(u, n, True)

@@ -58,6 +58,8 @@ def weight(w: Word) -> WeakComposition:
 def weight_leq(a: WeakComposition, b: WeakComposition) -> bool:
     """Dominance comparison: every prefix sum of ``a`` is at most the
     corresponding prefix sum of ``b`` (missing terms count as 0)."""
+    a = _check_weak_composition(a)
+    b = _check_weak_composition(b)
     sa = sb = 0
     for x, y in zip_longest(a, b, fillvalue=0):
         sa += x
@@ -196,6 +198,7 @@ def max_decreasing_factorization(w: Word) -> list[Word]:
 def has_inversion(w: Word, i: int) -> bool:
     """Whether ``w`` contains a symbol i+1 somewhere left of a symbol i."""
     _check_label(i)
+    _check_symbols(w)
     seen_upper = False
     for a in w:
         if a == i + 1:

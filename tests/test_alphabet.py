@@ -51,11 +51,9 @@ from hypoplactic.operators import (
     kashiwara_counts,
     kashiwara_e,
     kashiwara_f,
-    kashiwara_lowerings,
     quasi_counts,
     quasi_e,
     quasi_f,
-    quasi_lowerings,
 )
 from hypoplactic.quasiribbon import (
     QuasiRibbonTableau,
@@ -80,6 +78,7 @@ from hypoplactic.words import (
     is_standard,
     schuetzenberger_involution,
     weight,
+    weight_leq,
     words_of_weight,
     words_over,
 )
@@ -116,8 +115,8 @@ CALLS = [call for _, call in ENTRY_POINTS]
 IDS = [name for name, _ in ENTRY_POINTS]
 
 # (name, call taking one word w and no bound); the fillings take w as
-# their one row or column, and the one-symbol insertions insert w
-# symbol by symbol
+# their one row or column, the one-symbol insertions insert w symbol
+# by symbol, and the per-label operators act at label 1
 SYMBOLS_ONLY = [
     ("weight", weight),
     ("predicted_shape", predicted_shape),
@@ -136,6 +135,14 @@ SYMBOLS_ONLY = [
     ("kt_insert", lambda w: reduce(kt_insert, w, QuasiRibbonTableau())),
     ("rsk", rsk),
     ("hypo_rsk", hypo_rsk),
+    ("has_inversion", lambda w: has_inversion(w, 1)),
+    ("bracket_reduce", lambda w: bracket_reduce(w, 1)),
+    ("kashiwara_e", lambda w: kashiwara_e(w, 1)),
+    ("kashiwara_f", lambda w: kashiwara_f(w, 1)),
+    ("kashiwara_counts", lambda w: kashiwara_counts(w, 1)),
+    ("quasi_e", lambda w: quasi_e(w, 1)),
+    ("quasi_f", lambda w: quasi_f(w, 1)),
+    ("quasi_counts", lambda w: quasi_counts(w, 1)),
 ]
 SYMBOL_CALLS = [call for _, call in SYMBOLS_ONLY] + CALLS
 SYMBOL_IDS = [name for name, _ in SYMBOLS_ONLY] + IDS
@@ -195,14 +202,10 @@ def test_counts_reject_bound_that_is_not_an_integer(count, n):
     assert str(excinfo.value) == f"alphabet bound must be an integer, got {n!r}"
 
 
-# entry points that take a bound but check no word against it: the
-# lowering tables accept symbols outside 1..n, and the others take no
-# word
+# entry points that take a bound but no word
 BOUND_ONLY = [
     ("plactic_relations", plactic_relations),
     ("hypoplactic_relations", hypoplactic_relations),
-    ("kashiwara_lowerings", lambda n: kashiwara_lowerings((1, 2), n)),
-    ("quasi_lowerings", lambda n: quasi_lowerings((1, 2), n)),
     ("words_over", lambda n: words_over(n, 1)),
 ]
 
@@ -352,6 +355,8 @@ WEAK_COMPOSITION_CALLS = [
     ("compositions", lambda parts: [list(compositions(p)) for p in parts]),
     ("multinomial.parts", lambda parts: multinomial(3, parts)),
     ("multinomial.total", lambda parts: [multinomial(p, (p,)) for p in parts]),
+    ("weight_leq.a", lambda parts: weight_leq(parts, (1,))),
+    ("weight_leq.b", lambda parts: weight_leq((1,), parts)),
 ]
 
 

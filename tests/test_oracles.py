@@ -1,15 +1,14 @@
 """Fast paths against their oracles.
 
-The lowering tables against the per-label operators they tabulate;
-component exploration against a breadth-first search that calls one
-per-label lowering operator per label and vertex; component sizes
-against the counts that the insertion correspondences predict; roots
-against greedy raising one label at a time; ~, decided by the
-theorem, against its definition by explored components; membership in
-one quasi component, decided by standardization, against equal
-recording ribbons; the bracket scan's cancelled labels against
-i-inversions; the split of crystal edges against the quasi operator of
-each edge; vertex weights against the characters F_α and s_λ; the
+The walk's bracket scan against the per-label bracket reduction and
+i-inversions; component exploration against a breadth-first search
+that calls one per-label lowering operator per label and vertex;
+component sizes against the counts that the insertion correspondences
+predict; roots against greedy raising one label at a time; ~, decided
+by the theorem, against its definition by explored components;
+membership in one quasi component, decided by standardization, against
+equal recording ribbons; the split of crystal edges against the quasi
+operator of each edge; vertex weights against the characters F_α and s_λ; the
 tableaux that insertion builds without checks, and the components that
 exploration builds without checks, against the public constructors
 that check them; Schensted insertion against a fold of one-symbol
@@ -22,7 +21,6 @@ import random
 from collections import Counter, deque
 from fractions import Fraction
 from functools import reduce
-from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -35,6 +33,7 @@ from hypoplactic.graphs import (
     CRYSTAL,
     QUASI_CRYSTAL,
     Component,
+    _bracket_scan,
     component_to_json_dict,
     crystal_overlay,
     explore_component,
@@ -44,13 +43,11 @@ from hypoplactic.graphs import (
     sim_related,
 )
 from hypoplactic.operators import (
-    _bracket_scan,
+    bracket_reduce,
     kashiwara_e,
     kashiwara_f,
-    kashiwara_lowerings,
     quasi_e,
     quasi_f,
-    quasi_lowerings,
 )
 from hypoplactic.quasiribbon import (
     QuasiRibbonTableau,
@@ -79,7 +76,6 @@ from hypoplactic.young import (
 
 from helpers import CLASS_143214, row_insert, sim_key, words_up_to
 
-TABLES = ((kashiwara_lowerings, kashiwara_f), (quasi_lowerings, quasi_f))
 PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
 RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
 
@@ -193,79 +189,30 @@ def assert_component_matches_oracle(w, n, kind):
     return c
 
 
-def tables_match(u, n):
-    for table, lower_op in TABLES:
-        lowered = table(u, n)
-        assert lowered == lowerings_by_label(lower_op, u, n)
-        assert list(lowered) == sorted(lowered)
-
-
-class TestLoweringTables:
-    def test_exhaustive(self):
-        for n in range(1, 6):
-            for u in words_up_to(n, 6):
-                tables_match(u, n)
-
-    @settings(max_examples=300, deadline=None)
-    @given(words_with_bound(8, 12))
-    def test_random(self, case):
-        tables_match(*case)
-
-    def test_symbols_above_the_bound(self):
-        # a word over 1..n gets its table; a symbol above n is rejected,
-        # as by every other (word, n) call
-        for u in words_up_to(5, 4):
-            for n in range(1, 5):
-                if max(u, default=1) <= n:
-                    tables_match(u, n)
-                    continue
-                for table, _ in TABLES:
-                    with pytest.raises(ValueError, match=f"has a symbol above {n}$"):
-                        table(u, n)
-
-    def test_symbols_outside_the_alphabet(self):
-        # a symbol below 1 or above n is rejected rather than bracketing
-        # no label
-        for n in range(1, 5):
-            for length in range(5):
-                for u in product(range(-1, n + 2), repeat=length):
-                    if all(1 <= a <= n for a in u):
-                        tables_match(u, n)
-                        continue
-                    for table, _ in TABLES:
-                        with pytest.raises(ValueError):
-                            table(u, n)
-
-    def test_no_labels_below_bound_one(self):
-        # labels run over 1..n-1, which is empty for n = 1; a bound
-        # below 1 is rejected
-        for u in words_up_to(1, 3):
-            assert kashiwara_lowerings(u, 1) == quasi_lowerings(u, 1) == {}
-        for u in words_up_to(4, 3):
-            for n in range(-2, 1):
-                for table in (kashiwara_lowerings, quasi_lowerings):
-                    with pytest.raises(ValueError, match="alphabet bound must be at least 1"):
-                        table(u, n)
-
-
-class TestBracketScanMask:
-    """A label's bracket cancels a "-+" pair exactly when the word has
-    an i-inversion, which is what lets one scan serve both kinds."""
+class TestBracketScan:
+    """The walk's one scan per vertex against the per-label definitions.
+    For every label i, the position it keeps is the rightmost "+" that
+    survives ``bracket_reduce``, which is where f_i acts.  Its mask, the
+    labels whose bracket cancelled a "-+" pair, is the set of labels
+    with an i-inversion, which is what lets one scan serve both kinds."""
 
     @staticmethod
-    def assert_mask_is_inversions(u, n):
-        inversions = sum(1 << i for i in range(1, n) if has_inversion(u, i))
-        assert _bracket_scan(u, n)[1] == inversions
+    def assert_scan_matches(u, n):
+        plus, mask = _bracket_scan(u, n)
+        for i in range(1, n):
+            survivors = bracket_reduce(u, i).plus_positions
+            assert plus[i] == (survivors[-1] - 1 if survivors else -1)
+        assert mask == sum(1 << i for i in range(1, n) if has_inversion(u, i))
 
     def test_exhaustive(self):
         for n in range(1, 6):
             for u in words_up_to(n, 6):
-                self.assert_mask_is_inversions(u, n)
+                self.assert_scan_matches(u, n)
 
     @settings(max_examples=300, deadline=None)
     @given(words_with_bound(8, 12))
     def test_random(self, case):
-        self.assert_mask_is_inversions(*case)
+        self.assert_scan_matches(*case)
 
 
 class TestExploreAgainstOracle:
@@ -659,7 +606,6 @@ class TestPublicConstructor:
         the component, one word the root does not reach added with its
         own lowering edges, or one vertex dropped, with or without the
         edges into it."""
-        table = {CRYSTAL: kashiwara_lowerings, QUASI_CRYSTAL: quasi_lowerings}
         rejected = 0
 
         def rejects(out):
@@ -681,7 +627,7 @@ class TestPublicConstructor:
                         rejects(out)
             for w in words_over(n, len(c.root)):
                 if w not in c.vertices:
-                    rejects({**c.out, w: table[c.kind](w, n)})
+                    rejects({**c.out, w: lowerings_by_label(PER_LABEL[c.kind], w, n)})
             for u in vertices:
                 rejects({x: edges for x, edges in c.out.items() if x != u})
                 rejects({
