@@ -95,6 +95,7 @@ from .young import (
     plactic_congruent,
     plactic_relations,
     rsk,
+    rsk_inverse,
     schensted_insert,
     tabloid_of,
 )

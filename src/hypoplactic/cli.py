@@ -355,6 +355,20 @@ def _verify_graphs() -> list[tuple[str, bool]]:
         "a permutation is a quasi-ribbon word iff it reverses its decreasing blocks, N <= 6",
         ok_blocks,
     ))
+
+    ok_roots = True
+    for length in range(5):
+        for w in words.words_over(3, length):
+            top, i = w, 1  # greedy raising: from label 1 again after each step
+            while i < 3:
+                up = operators.kashiwara_e(top, i)
+                top, i = (up, 1) if up is not None else (top, i + 1)
+            ok_roots &= graphs.highest_weight_word(w, 3, graphs.CRYSTAL) == top
+            ok_roots &= young.rsk_inverse(*young.rsk(w)) == w
+    checks.append((
+        "crystal roots are kashiwara_e raising and rsk_inverse undoes rsk, words over 1..3 up to length 4",
+        ok_roots,
+    ))
     return checks
 
 

@@ -23,24 +23,18 @@ from __future__ import annotations
 from functools import cached_property
 from typing import Iterable, Iterator
 
-from .quasiribbon import (
-    _sort_positions,
-    hypo_congruent,
-    slide_up_slide_left,
-    standard_ribbon,
-)
+from .quasiribbon import _sort_positions, hypo_congruent
 from .words import (
     WeakComposition,
     Word,
     _check_symbols,
     check_alphabet,
-    composition_from_descents,
     format_word,
     parse_word,
     standardize,
     weight,
 )
-from .young import rsk
+from .young import _schensted, _unschensted
 
 CRYSTAL = "crystal"
 QUASI_CRYSTAL = "quasi-crystal"
@@ -304,15 +298,17 @@ def explore_component(w: Word, n: int, kind: str) -> Component:
 
 
 def highest_weight_word(w: Word, n: int, kind: str) -> Word:
-    """The root of the component of ``w``.
+    """The root of the component of ``w``: the word of the component
+    whose insertion tableau has only j in row j, by inverting the
+    insertion that records the component.
 
     Quasi-crystal: the component is the set of words sharing the
-    recording ribbon R of ``w``, and its root is the word whose tableau
-    has only j in row j; that is ``hypo_rsk_inverse`` of this tableau
-    and R, read off the one sort behind ``hypo_rsk``.  Crystal: each
-    label in turn is raised to the top of its string, and the labels are
-    swept until a sweep raises nothing; the root is unique, so the order
-    of raising does not matter.
+    recording ribbon R of ``w``; the root is ``hypo_rsk_inverse`` of
+    this tableau and R, read off the one sort behind ``hypo_rsk``.
+    Crystal: the component is the set of words sharing the recording
+    tableau Q of ``w``; the root is ``rsk_inverse`` of this tableau and
+    Q, reverse-bumped from the rows in which the insertions of ``w``
+    ended, with no tableau built.
     """
     kind = _normalize_kind(kind)
     check_alphabet(w, n)
@@ -323,23 +319,8 @@ def highest_weight_word(w: Word, n: int, kind: str) -> Word:
         for h, j in zip(order, rows):
             root[h] = j
         return tuple(root)
-    current = list(w)
-    raised = True
-    while raised:
-        raised = False
-        for i in range(1, n):
-            # One bracket scan of label i: e_i applied epsilon times turns
-            # every surviving "-" (an unmatched i+1) into i.
-            minus = []
-            for pos, a in enumerate(current):
-                if a == i + 1:
-                    minus.append(pos)
-                elif a == i and minus:
-                    minus.pop()
-            for pos in minus:
-                current[pos] = i
-                raised = True
-    return tuple(current)
+    rows, ends = _schensted(w)
+    return _unschensted([[j] * len(row) for j, row in enumerate(rows, start=1)], ends)
 
 
 def is_highest_weight_hypo(w: Word) -> bool:
@@ -401,22 +382,28 @@ def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
 
 def plac_component_contains_qrw(w: Word, n: int) -> bool:
     """Whether the crystal component of ``w`` contains a quasi-ribbon
-    word: its recording tableau must arise from the standard filling of
-    some ribbon shape with at most n rows by slide up-slide left.
+    word: its recording tableau Q must arise from the standard filling
+    of some ribbon shape with at most n rows by slide up-slide left.
 
     Slide up-slide left moves the ribbon's column tops into the first
     row, and k tops a column exactly when k-1 ends no row, so the first
-    row of the recording tableau fixes the only candidate shape.  The
-    candidate must still be checked, since its later rows need not match
-    (the component of ``2211`` has none).
+    row of Q fixes the only candidate shape.  Below the first row, the
+    candidate holds k one row under k-1, since k-1 ends a ribbon row and
+    k starts the next one in the same column.  The candidate must still
+    be checked, since the later rows of Q need not match (the component
+    of ``2211`` has none).  Both are read off the rows in which the
+    insertions of ``w`` ended, which are the rows of Q holding 1, 2, ...,
+    with no Q built.
     """
     check_alphabet(w, n)
-    q = rsk(w)[1]
-    tops = set(q.rows[0]) if q.rows else set()
-    alpha = composition_from_descents(
-        [k - 1 for k in range(2, len(w) + 1) if k not in tops], len(w)
-    )
-    return len(alpha) <= n and slide_up_slide_left(standard_ribbon(alpha)) == q
+    ends = _schensted(w)[1]
+    parts = 1 if ends else 0  # the candidate's rows: the first, and one per k starting a row
+    for above, r in zip(ends, ends[1:]):
+        if r:
+            if r != above + 1:
+                return False
+            parts += 1
+    return parts <= n
 
 
 def component_to_dot(c: Component, dotted: Iterable[Edge] = ()) -> str:

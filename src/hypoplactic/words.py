@@ -279,8 +279,11 @@ def is_partition(a: Composition) -> bool:
 
 def _check_symbols(w: Word) -> None:
     """The one test of symbols, for a word, row or column: reject a
-    symbol that is not an integer, then one below 1.  A bool is not an
-    integer here, as in ``format_word``."""
+    one-shot iterator, which this scan would use up, then a symbol that
+    is not an integer, then one below 1.  A bool is not an integer here,
+    as in ``format_word``."""
+    if iter(w) is w:
+        raise ValueError("a word must be a sequence, not a one-shot iterator")
     below_one = False
     for a in w:
         if type(a) is not int:

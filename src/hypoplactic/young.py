@@ -12,12 +12,14 @@ words and inserted symbols are checked by ``words._check_symbols``.
 Schensted insertion is one private bumping loop over a whole word,
 shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
 records only the row in which each insertion ended; ``rsk`` builds the
-recording tableau Q from those end rows after the loop.
+recording tableau Q from those end rows after the loop.  One private
+reverse-bumping loop undoes it from the end rows, for ``rsk_inverse``
+and for the crystal root in ``graphs``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 from .words import Word, _check_bound, _check_symbols, is_standard, max_decreasing_factorization
 
@@ -208,9 +210,9 @@ class Tabloid(_ColumnFilling):
 def _schensted(
     w: Word, rows: list[list[int]] | None = None
 ) -> tuple[list[list[int]], list[int]]:
-    """Check the symbols of ``w``, then bump each of them in turn into
-    ``rows`` (a new empty tableau if ``None``), which it mutates and
-    returns with the row in which each insertion ended.
+    """Bump each symbol of ``w`` in turn into ``rows`` (a new empty
+    tableau if ``None``), which it mutates and returns with the row in
+    which each insertion ended.  Callers check ``w``.
 
     A symbol that is at least every entry of a row is appended to it and
     the insertion ends there; otherwise the symbol replaces the leftmost
@@ -219,7 +221,6 @@ def _schensted(
     other record: the recording tableau is built from the end rows
     afterwards.
     """
-    _check_symbols(w)
     if rows is None:
         rows = []
     ends = []
@@ -237,6 +238,28 @@ def _schensted(
     return rows, ends
 
 
+def _unschensted(rows: list[list[int]], ends: list[int]) -> Word:
+    """Undo ``_schensted``: the word whose insertions, in turn, build
+    ``rows`` and end in the rows ``ends``.  It empties ``rows``.
+
+    The insertions are undone last first.  Insertion t added the last
+    cell of row ``ends[t]``, so that cell's entry is popped and bumped
+    back up: in each row above, it replaces the rightmost entry strictly
+    smaller than itself, and the displaced entry goes on up.  The entry
+    that leaves the top row is ``w[t]``.
+    """
+    w = [0] * len(ends)
+    for t in range(len(ends) - 1, -1, -1):
+        r = ends[t]
+        a = rows[r].pop()
+        for above in range(r - 1, -1, -1):
+            row = rows[above]
+            c = bisect_left(row, a) - 1
+            row[c], a = a, row[c]
+        w[t] = a
+    return tuple(w)
+
+
 def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
     """Insert one symbol into a Young tableau.
 
@@ -244,6 +267,7 @@ def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
     there; otherwise it replaces the leftmost strictly greater entry and
     the displaced entry is inserted into the next row down.
     """
+    _check_symbols((a,))
     rows, _ = _schensted((a,), [list(row) for row in T.rows])
     return YoungTableau(rows)
 
@@ -260,6 +284,7 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
     construction once the symbols are positive integers, so they are
     built without re-checking their entries.
     """
+    _check_symbols(w)
     p_rows, ends = _schensted(w)
     q_rows: list[list[int]] = [[] for _ in p_rows]
     for i, r in enumerate(ends, start=1):
@@ -270,6 +295,25 @@ def rsk(w: Word) -> tuple[YoungTableau, StandardYoungTableau]:
         YoungTableau._trusted(tuple(map(tuple, p_rows))),
         StandardYoungTableau._trusted(tuple(map(tuple, q_rows))),
     )
+
+
+def rsk_inverse(P: YoungTableau, Q: StandardYoungTableau) -> Word:
+    """Recover the word that ``rsk`` sends to ``(P, Q)``, by reverse
+    bumping.
+
+    The k-th insertion ended in the row of Q that holds k, so these end
+    rows undo the insertions of P, last first.  Any Young tableau P and
+    standard Young tableau Q of one shape are the pair of some word.
+    """
+    if not isinstance(Q, StandardYoungTableau):
+        raise ValueError("recording tableau must be a StandardYoungTableau")
+    if P.shape != Q.shape:
+        raise ValueError("insertion and recording tableau shapes differ")
+    ends = [0] * Q.size
+    for r, row in enumerate(Q.rows):
+        for k in row:
+            ends[k - 1] = r
+    return _unschensted([list(row) for row in P.rows], ends)
 
 
 def column_reading(t) -> Word:
@@ -311,6 +355,8 @@ def plactic_congruent(u: Word, v: Word) -> bool:
     """Whether ``u`` and ``v`` have the same insertion tableau P, by
     comparing the rows that bumping builds; no recording tableau is
     made."""
+    _check_symbols(u)
+    _check_symbols(v)
     return _schensted(u)[0] == _schensted(v)[0]
 
 

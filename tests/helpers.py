@@ -6,7 +6,8 @@ from bisect import bisect_right
 from itertools import permutations
 from pathlib import Path
 
-from hypoplactic.graphs import QUASI_CRYSTAL, explore_component
+from hypoplactic.graphs import CRYSTAL, QUASI_CRYSTAL, explore_component
+from hypoplactic.operators import kashiwara_e, quasi_e
 from hypoplactic.words import parse_word, words_over
 
 # the nineteen words congruent to 143214, as displayed in the worked example
@@ -37,6 +38,48 @@ def row_insert(rows, a):
         c = bisect_right(row, a)
         row[c], a = a, row[c]
         r += 1
+
+
+RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
+
+
+def greedy_root(w, n, kind):
+    """Oracle: apply the first raising operator that acts, from label 1
+    again after every step, until none acts."""
+    raise_op = RAISE[kind]
+    current = w
+    raised = True
+    while raised:
+        raised = False
+        for i in range(1, n):
+            nxt = raise_op(current, i)
+            if nxt is not None:
+                current = nxt
+                raised = True
+                break
+    return current
+
+
+def sweep_root(w, n):
+    """Oracle for the crystal root: raise each label in turn to the top
+    of its string, and sweep the labels until a sweep raises nothing.
+    One bracket scan of label i finds the surviving "-" (the unmatched
+    i+1), and e_i applied as often as it acts turns each into i."""
+    current = list(w)
+    raised = True
+    while raised:
+        raised = False
+        for i in range(1, n):
+            minus = []
+            for pos, a in enumerate(current):
+                if a == i + 1:
+                    minus.append(pos)
+                elif a == i and minus:
+                    minus.pop()
+            for pos in minus:
+                current[pos] = i
+                raised = True
+    return tuple(current)
 
 
 def words_up_to(n, max_len):

@@ -419,3 +419,18 @@ def test_tabloids_of_a_word_reject_symbols_that_are_not_integers(call):
     split into decreasing factors, which compares symbols."""
     with pytest.raises(ValueError, match="^entries must be positive integers$"):
         call((2, "1"))
+
+
+@pytest.mark.parametrize("call", [
+    weight,
+    rsk,
+    lambda w: has_inversion(w, 1),
+    lambda w: kashiwara_counts(w, 1),
+], ids=["weight", "rsk", "has_inversion", "kashiwara_counts"])
+def test_rejects_one_shot_iterators(call):
+    """A word is scanned more than once, so an iterator, which the
+    symbol check would use up, is rejected rather than read as the
+    empty word."""
+    with pytest.raises(ValueError) as excinfo:
+        call(iter((2, 1)))
+    assert str(excinfo.value) == "a word must be a sequence, not a one-shot iterator"

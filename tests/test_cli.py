@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypoplactic import operators, quasiribbon, words
+from hypoplactic import operators, quasiribbon, words, young
 from hypoplactic.cli import main
 
 from helpers import two_in_edges_scan
@@ -271,6 +271,7 @@ class TestVerify:
         "g = 321 conjugates u and v of equal weight: ug = gv, gu = vg",
         "the involution reverses quasi edges: u -i-> v gives xi(v) -(3-i)-> xi(u)",
         "a permutation is a quasi-ribbon word iff it reverses its decreasing blocks, N <= 6",
+        "crystal roots are kashiwara_e raising and rsk_inverse undoes rsk, words over 1..3 up to length 4",
     ]
 
     def test_graphs_suite_checks_each_result(self, capsys):
@@ -283,7 +284,10 @@ class TestVerify:
         (words, "weight", lambda w: (), 3),
         (operators, "quasi_f", lambda w, i: None, 4),
         (quasiribbon, "is_quasi_ribbon_word", lambda w: True, 5),
-    ], ids=["xyxy", "conjugacy", "involution", "interval-reversing"])
+        (operators, "kashiwara_e", lambda w, i: None, 6),
+        (young, "rsk_inverse", lambda P, Q: (), 6),
+    ], ids=["xyxy", "conjugacy", "involution", "interval-reversing", "crystal-root",
+            "rsk-inverse"])
     def test_graphs_suite_fails_when_a_result_breaks(self, capsys, monkeypatch,
                                                      module, name, fake, label):
         """Each result is computed from the library on every run: a
@@ -348,7 +352,7 @@ def test_readme_python_tour_runs():
     """README's quick tour of the library, run as a doctest."""
     tour = readme_block("Library layout", "python")
     test = doctest.DocTestParser().get_doctest(tour, {}, "README quick tour", "README.md", 0)
-    assert doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF).run(test) == (0, 7)
+    assert doctest.DocTestRunner(optionflags=doctest.REPORT_NDIFF).run(test) == (0, 10)
 
 
 class TestUsage:

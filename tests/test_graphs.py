@@ -37,7 +37,7 @@ from hypoplactic.words import (
     schuetzenberger_involution,
     weight,
 )
-from hypoplactic.young import is_yamanouchi, rsk
+from hypoplactic.young import StandardYoungTableau, YoungTableau, is_yamanouchi, rsk
 
 from helpers import sim_key, standard_words, two_in_edges_scan, words_up_to
 
@@ -384,6 +384,18 @@ def contains_qrw_by_search(w, n):
 class TestPlacComponentContainsQrw:
     def test_negative_example(self):
         assert not plac_component_contains_qrw(parse_word("2211"), 4)
+
+    def test_builds_no_tableau(self, monkeypatch):
+        """The verdict is read off the end rows of the insertions."""
+        def refuse(*args):
+            raise AssertionError("built a tableau")
+
+        monkeypatch.setattr(YoungTableau, "__init__", refuse)
+        monkeypatch.setattr(YoungTableau, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(StandardYoungTableau, "_trusted", classmethod(refuse))
+        assert plac_component_contains_qrw(parse_word("2121"), 4)
+        assert not plac_component_contains_qrw(parse_word("2211"), 4)
+        assert not plac_component_contains_qrw(parse_word("2121"), 2)  # 3 ribbon rows
 
     def test_quasi_ribbon_word_component(self):
         assert plac_component_contains_qrw(parse_word("12432455657"), 7)

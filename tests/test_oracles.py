@@ -4,7 +4,8 @@ The walk's bracket scan against the per-label bracket reduction and
 i-inversions; component exploration against a breadth-first search
 that calls one per-label lowering operator per label and vertex;
 component sizes against the counts that the insertion correspondences
-predict; roots against greedy raising one label at a time; ~, decided
+predict; roots against greedy raising one label at a time, and the
+crystal root against the sweep of whole bracket scans; ~, decided
 by the theorem, against its definition by explored components;
 membership in one quasi component, decided by standardization, against
 equal recording ribbons; the split of crystal edges against the quasi
@@ -12,7 +13,8 @@ operator of each edge; vertex weights against the characters F_α and s_λ; the
 tableaux that insertion builds without checks, and the components that
 exploration builds without checks, against the public constructors
 that check them; Schensted insertion against a fold of one-symbol
-bumping, and the shape of P against Greene's theorem; the isomorphism
+bumping, and the shape of P against Greene's theorem; reverse bumping
+against the ``rsk`` round trip both ways; the isomorphism
 key ``Component.shape`` against signatures; and the hypoplactic class
 picked by insertion shape against whole tableaux.
 """
@@ -42,13 +44,7 @@ from hypoplactic.graphs import (
     same_recording_ribbon,
     sim_related,
 )
-from hypoplactic.operators import (
-    bracket_reduce,
-    kashiwara_e,
-    kashiwara_f,
-    quasi_e,
-    quasi_f,
-)
+from hypoplactic.operators import bracket_reduce, kashiwara_f, quasi_f
 from hypoplactic.quasiribbon import (
     QuasiRibbonTableau,
     RecordingRibbon,
@@ -69,15 +65,23 @@ from hypoplactic.young import (
     StandardYoungTableau,
     YoungTableau,
     column_reading,
+    is_yamanouchi,
     plactic_congruent,
     rsk,
+    rsk_inverse,
     schensted_insert,
 )
 
-from helpers import CLASS_143214, row_insert, sim_key, words_up_to
+from helpers import (
+    CLASS_143214,
+    greedy_root,
+    row_insert,
+    sim_key,
+    sweep_root,
+    words_up_to,
+)
 
 PER_LABEL = {CRYSTAL: kashiwara_f, QUASI_CRYSTAL: quasi_f}
-RAISE = {CRYSTAL: kashiwara_e, QUASI_CRYSTAL: quasi_e}
 
 
 def words_with_bound(max_n, max_len):
@@ -96,23 +100,6 @@ def word_pairs(max_n, max_len):
         v = st.one_of(free, st.permutations(u).map(tuple), st.just(hypo_rsk(u)[0].reading()))
         return st.tuples(st.just(u), v, st.just(n))
     return words_with_bound(max_n, max_len).flatmap(pair_for)
-
-
-def greedy_root(w, n, kind):
-    """Oracle: apply the first raising operator that acts, from label 1
-    again after every step, until none acts."""
-    raise_op = RAISE[kind]
-    current = w
-    raised = True
-    while raised:
-        raised = False
-        for i in range(1, n):
-            nxt = raise_op(current, i)
-            if nxt is not None:
-                current = nxt
-                raised = True
-                break
-    return current
 
 
 def lowerings_by_label(lower_op, u, n):
@@ -296,6 +283,43 @@ class TestRootsAgainstGreedyRaising:
         assert root == greedy_root(w, n, QUASI_CRYSTAL)
         assert is_highest_weight_hypo(root)
         assert highest_weight_word(w, n, CRYSTAL) == greedy_root(w, n, CRYSTAL)
+
+
+def assert_crystal_root_is_the_inverse_of_p_lambda(w, n):
+    """The crystal root of ``w`` shares its recording tableau Q, and its
+    insertion tableau holds only j in row j, so it is Yamanouchi."""
+    root = highest_weight_word(w, n, CRYSTAL)
+    P, Q = rsk(root)
+    assert Q == rsk(w)[1]
+    assert P.rows == tuple((j,) * len(row) for j, row in enumerate(P.rows, start=1))
+    assert is_yamanouchi(root)
+    return root
+
+
+class TestCrystalRootByReverseBumping:
+    def test_exhaustive(self):
+        """Every word over n <= 4 up to length 6."""
+        for n in range(1, 5):
+            for w in words_up_to(n, 6):
+                root = assert_crystal_root_is_the_inverse_of_p_lambda(w, n)
+                assert root == sweep_root(w, n)
+
+    @settings(deadline=None)
+    @given(words_with_bound(20, 200))
+    def test_against_the_sweep(self, case):
+        root = assert_crystal_root_is_the_inverse_of_p_lambda(*case)
+        assert root == sweep_root(*case)
+
+    def test_builds_no_tableau(self, monkeypatch):
+        def refuse(cls, *fields):
+            raise AssertionError(f"built a {cls.__name__}")
+
+        monkeypatch.setattr(YoungTableau, "__init__", refuse)
+        monkeypatch.setattr(YoungTableau, "_trusted", classmethod(refuse))
+        monkeypatch.setattr(StandardYoungTableau, "_trusted", classmethod(refuse))
+        # P(31221) has shape (3,1,1) and Q = 134/2/5; reverse bumping
+        # 111/2/3 along Q gives 31121
+        assert highest_weight_word((3, 1, 2, 2, 1), 3, CRYSTAL) == (3, 1, 1, 2, 1)
 
 
 class TestSimRelatedAgainstDefinition:
@@ -486,6 +510,89 @@ class TestSchenstedAgainstRowInsertFold:
             first_row = len(P.rows[0]) if P.rows else 0
             assert first_row == longest_increasing(w, strict=False)
             assert len(P.rows) == longest_increasing(tuple(n + 1 - a for a in w), strict=True)
+
+
+def partitions(total, largest=None):
+    """Every partition of ``total``, parts non-increasing."""
+    if total == 0:
+        yield ()
+        return
+    for part in range(min(total, largest or total), 0, -1):
+        for rest in partitions(total - part, part):
+            yield (part, *rest)
+
+
+def semistandard_tableaux(shape, n):
+    """Every semistandard Young tableau of a partition shape with
+    entries in 1..n, as tuples of rows, filled cell by cell, row by
+    row: each entry is at least its left neighbour and greater than the
+    entry above it."""
+    cells = [(r, c) for r, part in enumerate(shape) for c in range(part)]
+
+    def fill(rows, k):
+        if k == len(cells):
+            yield tuple(map(tuple, rows))
+            return
+        r, c = cells[k]
+        low = max(rows[r][c - 1] if c else 1, rows[r - 1][c] + 1 if r else 1)
+        for a in range(low, n + 1):
+            rows[r].append(a)
+            yield from fill(rows, k + 1)
+            rows[r].pop()
+
+    yield from fill([[] for _ in shape], 0)
+
+
+def assert_rsk_inverse_round_trip(w):
+    P, Q = rsk(w)
+    u = rsk_inverse(P, Q)
+    assert type(u) is tuple and u == w
+
+
+class TestRskInverseAgainstRsk:
+    def test_exhaustive(self):
+        """Every word over n <= 4 up to length 6."""
+        for w in words_up_to(4, 6):
+            assert_rsk_inverse_round_trip(w)
+
+    @settings(deadline=None)
+    @given(st.lists(st.integers(1, 4), max_size=300).map(tuple))
+    def test_long_words_over_four_symbols(self, w):
+        assert_rsk_inverse_round_trip(w)
+
+    @settings(deadline=None)
+    @given(st.integers(1, 300).flatmap(
+        lambda length: st.lists(st.integers(1, length), min_size=length, max_size=length)
+    ).map(tuple))
+    def test_long_words_over_as_many_symbols_as_their_length(self, w):
+        assert_rsk_inverse_round_trip(w)
+
+    def test_every_pair_of_one_shape(self):
+        """Every pair (P, Q) of one shape with at most 5 cells, P over
+        1..3 and Q standard: the word that reverse bumping gives inserts
+        to (P, Q) again."""
+        pairs = 0
+        for total in range(6):
+            for shape in partitions(total):
+                qs = [StandardYoungTableau(rows) for rows in standard_tableaux(shape)]
+                for p_rows in semistandard_tableaux(shape, 3):
+                    P = YoungTableau(p_rows)
+                    for Q in qs:
+                        assert rsk(rsk_inverse(P, Q)) == (P, Q)
+                        pairs += 1
+        # the words over 1..3 up to length 5, one per pair
+        assert pairs == sum(3 ** length for length in range(6))
+
+    @pytest.mark.parametrize("p_rows, q_rows", [
+        ([[1, 2]], [[1], [2]]),
+        ([[1], [2]], [[1, 2]]),
+        ([[1, 1], [2]], [[1, 2, 3]]),
+        ([], [[1]]),
+        ([[1]], []),
+    ])
+    def test_rejects_mismatched_shapes(self, p_rows, q_rows):
+        with pytest.raises(ValueError, match="^insertion and recording tableau shapes differ$"):
+            rsk_inverse(YoungTableau(p_rows), StandardYoungTableau(q_rows))
 
 
 def explored_components(max_n, max_len):

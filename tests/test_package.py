@@ -34,7 +34,7 @@ EXPORTS = [
     "plac_component_contains_qrw", "plactic_congruent", "plactic_relations",
     "predicted_shape", "qr_column_reading", "qr_tableaux_of_shape",
     "qr_tabloid_of", "quasi_counts", "quasi_e", "quasi_f", "rsk",
-    "same_recording_ribbon", "schensted_insert", "schuetzenberger_involution",
+    "rsk_inverse", "same_recording_ribbon", "schensted_insert", "schuetzenberger_involution",
     "sim_related", "slide_up_slide_left", "standard_ribbon", "standardize",
     "tabloid_of", "weight", "weight_leq", "words_of_weight", "words_over",
 ]
@@ -46,7 +46,7 @@ def test_public_names():
         if not name.startswith("_") and not isinstance(getattr(hypoplactic, name), types.ModuleType)
     )
     assert exported == EXPORTS
-    assert len(EXPORTS) == 78
+    assert len(EXPORTS) == 79
 
 
 def test_no_assert_statements_in_the_package():

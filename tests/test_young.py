@@ -14,6 +14,7 @@ from hypoplactic.young import (
     plactic_congruent,
     plactic_relations,
     rsk,
+    rsk_inverse,
     schensted_insert,
     tabloid_of,
 )
@@ -167,6 +168,26 @@ class TestRsk:
         assert result.returncode == 1
         assert "in rsk" in result.stderr
         assert result.stderr.endswith("AssertionError: P and Q grew different cells\n")
+
+
+class TestRskInverse:
+    def test_worked_runs(self):
+        for text in ("2213", "4323", "321", ""):
+            w = parse_word(text)
+            assert rsk_inverse(*rsk(w)) == w
+
+    def test_one_insertion_tableau_two_recording_tableaux(self):
+        # Q = 14/2/3: the 4th insertion ended in the top row, so 3 is the
+        # last symbol.  Q = 12/3/4: it ended in the bottom row, so 4
+        # leaves it, bumps 3 out of the middle row and 2 out of the top.
+        P = YoungTableau([[2, 3], [3], [4]])
+        assert rsk_inverse(P, StandardYoungTableau([[1, 4], [2], [3]])) == (4, 3, 2, 3)
+        assert rsk_inverse(P, StandardYoungTableau([[1, 2], [3], [4]])) == (3, 4, 3, 2)
+
+    def test_rejects_a_recording_tableau_that_is_not_standard(self):
+        # Q with a repeated entry would leave an insertion with no end row
+        with pytest.raises(ValueError, match="^recording tableau must be a StandardYoungTableau$"):
+            rsk_inverse(YoungTableau([[1, 2]]), YoungTableau([[1, 1]]))
 
 
 class TestReadingsAndTabloids:
