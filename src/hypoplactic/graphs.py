@@ -31,7 +31,6 @@ from .words import (
     check_alphabet,
     format_word,
     parse_word,
-    standardize,
     weight,
 )
 from .young import _schensted, _unschensted
@@ -355,10 +354,12 @@ def same_recording_ribbon(u: Word, v: Word, n: int) -> bool:
     """Whether insertion records ``u`` and ``v`` identically, which is
     exactly membership in one quasi-crystal component.  The recording
     ribbon is std(w)^-1 placed in the ribbon of its descents, so it is
-    fixed by the standardization of the word and fixes it in turn."""
+    fixed by the standardization of the word and fixes it in turn.
+    std(w) is the inverse of the stable argsort of w, so the two
+    argsorts are compared in its place."""
     check_alphabet(u, n)
     check_alphabet(v, n)
-    return standardize(u) == standardize(v)
+    return sorted(range(len(u)), key=u.__getitem__) == sorted(range(len(v)), key=v.__getitem__)
 
 
 def crystal_overlay(w: Word, n: int) -> tuple[list[Edge], list[Edge]]:

@@ -75,8 +75,11 @@ def standardize(w: Word) -> Word:
     The h-th occurrence of a symbol a (scanning left to right) is ranked
     below later occurrences of a and below all occurrences of larger
     symbols; replacing each position by its rank gives a permutation
-    that preserves this order.  Standard words are fixed points.
+    that preserves this order.  Standard words are fixed points.  Its
+    symbols are checked first, so ("b", "a") is rejected rather than
+    ranked by value.
     """
+    _check_symbols(w)
     order = sorted(range(len(w)), key=w.__getitem__)  # stable: ties keep position order
     out = [0] * len(w)
     for rank, h in enumerate(order, start=1):
@@ -274,7 +277,12 @@ def format_composition(a: Composition) -> str:
 
 
 def is_partition(a: Composition) -> bool:
-    return all(a[h] >= a[h + 1] for h in range(len(a) - 1)) and all(p >= 1 for p in a)
+    """Whether no part of ``a`` is below the next one and every part is
+    at least 1; once the parts never increase, the last one decides."""
+    for h in range(len(a) - 1):
+        if a[h] < a[h + 1]:
+            return False
+    return not a or a[-1] >= 1
 
 
 def _check_symbols(w: Word) -> None:
@@ -324,8 +332,9 @@ def validate_composition(shape) -> Composition:
     """Return ``shape`` as a tuple, rejecting parts that are not
     positive integers."""
     shape = tuple(shape)
-    if any(type(p) is not int or p < 1 for p in shape):
-        raise ValueError("composition parts must be positive integers")
+    for p in shape:
+        if type(p) is not int or p < 1:
+            raise ValueError("composition parts must be positive integers")
     return shape
 
 
@@ -334,8 +343,9 @@ def _check_weak_composition(parts) -> WeakComposition:
     non-negative integers: the one check of a weak composition, and of
     a total, which is a weak composition of one part."""
     parts = tuple(parts)
-    if any(type(p) is not int or p < 0 for p in parts):
-        raise ValueError("weak composition parts must be non-negative integers")
+    for p in parts:
+        if type(p) is not int or p < 0:
+            raise ValueError("weak composition parts must be non-negative integers")
     return parts
 
 

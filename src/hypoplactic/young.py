@@ -11,8 +11,9 @@ words and inserted symbols are checked by ``words._check_symbols``.
 
 Schensted insertion is one private bumping loop over a whole word,
 shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
-records only the row in which each insertion ended; ``rsk`` builds the
-recording tableau Q from those end rows after the loop.  One private
+appends without bisecting once a symbol reaches the row's last entry,
+and records only the row in which each insertion ended; ``rsk`` builds
+the recording tableau Q from those end rows after the loop.  One private
 reverse-bumping loop undoes it from the end rows, for ``rsk_inverse``
 and for the crystal root in ``graphs``.
 """
@@ -214,25 +215,26 @@ def _schensted(
     tableau if ``None``), which it mutates and returns with the row in
     which each insertion ended.  Callers check ``w``.
 
-    A symbol that is at least every entry of a row is appended to it and
-    the insertion ends there; otherwise the symbol replaces the leftmost
-    strictly greater entry, and the displaced entry goes on into the next
-    row down, or starts a new row below the last one.  The loop keeps no
-    other record: the recording tableau is built from the end rows
-    afterwards.
+    A symbol that is at least the last entry of a row is appended to it,
+    with no search, and the insertion ends there; otherwise the symbol
+    replaces the leftmost strictly greater entry, and the displaced entry
+    goes on into the next row down, or starts a new row below the last
+    one.  The loop keeps no other record: the recording tableau is built
+    from the end rows afterwards.
     """
     if rows is None:
         rows = []
     ends = []
     for a in w:
-        for r, row in enumerate(rows):
-            c = bisect_right(row, a)
-            if c == len(row):
+        r = 0
+        for row in rows:
+            if a >= row[-1]:
                 row.append(a)
                 break
+            c = bisect_right(row, a)
             row[c], a = a, row[c]
+            r += 1
         else:
-            r = len(rows)
             rows.append([a])
         ends.append(r)
     return rows, ends

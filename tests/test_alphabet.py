@@ -77,6 +77,7 @@ from hypoplactic.words import (
     inverse_permutation,
     is_standard,
     schuetzenberger_involution,
+    standardize,
     weight,
     weight_leq,
     words_of_weight,
@@ -119,6 +120,7 @@ IDS = [name for name, _ in ENTRY_POINTS]
 # by symbol, and the per-label operators act at label 1
 SYMBOLS_ONLY = [
     ("weight", weight),
+    ("standardize", standardize),
     ("predicted_shape", predicted_shape),
     ("hypo_congruent", lambda w: hypo_congruent(w, w)),
     ("hypo_congruent.u", lambda w: hypo_congruent(w, (1, 2))),
@@ -423,10 +425,11 @@ def test_tabloids_of_a_word_reject_symbols_that_are_not_integers(call):
 
 @pytest.mark.parametrize("call", [
     weight,
+    standardize,
     rsk,
     lambda w: has_inversion(w, 1),
     lambda w: kashiwara_counts(w, 1),
-], ids=["weight", "rsk", "has_inversion", "kashiwara_counts"])
+], ids=["weight", "standardize", "rsk", "has_inversion", "kashiwara_counts"])
 def test_rejects_one_shot_iterators(call):
     """A word is scanned more than once, so an iterator, which the
     symbol check would use up, is rejected rather than read as the

@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -16,6 +16,7 @@ from hypoplactic.words import (
     format_word,
     has_inversion,
     inverse_permutation,
+    is_partition,
     is_standard,
     max_decreasing_factorization,
     parse_composition,
@@ -222,6 +223,16 @@ class TestCompositions:
     def test_from_descents_roundtrip(self):
         assert composition_from_descents({2, 3, 8}, 9) == (2, 1, 5, 1)
         assert composition_from_descents([], 0) == ()
+
+
+class TestIsPartition:
+    def test_matches_definition(self):
+        """Every tuple of parts in -1..3 up to length 4: no part is below
+        the next one and every part is at least 1."""
+        for length in range(5):
+            for a in product(range(-1, 4), repeat=length):
+                expected = all(a[h] >= a[h + 1] for h in range(length - 1)) and all(p >= 1 for p in a)
+                assert is_partition(a) == expected
 
 
 class TestFactorizations:
