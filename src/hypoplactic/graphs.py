@@ -325,9 +325,13 @@ def highest_weight_word(w: Word, n: int, kind: str) -> Word:
 def is_highest_weight_hypo(w: Word) -> bool:
     """Whether no quasi raising operator acts on ``w``: the word holds
     every symbol 1..max(w) and has an i-inversion for each i below
-    max(w), that is, some i+1 stands left of the last i."""
+    max(w), that is, some i+1 stands left of the last i.  A word shorter
+    than its largest symbol misses one, so it is turned down before the
+    per-symbol lists are made."""
     _check_symbols(w)
     m = max(w, default=0)
+    if m > len(w):
+        return False
     first = [None] * (m + 1)  # per symbol, its first and last position
     last = [None] * (m + 1)
     for pos, a in enumerate(w):

@@ -35,7 +35,6 @@ from .words import (
     is_standard,
     max_decreasing_factorization,
     validate_composition,
-    weight,
 )
 from .young import (
     YoungTableau,
@@ -340,6 +339,10 @@ def hypo_rsk_inverse(T: QuasiRibbonTableau, R: RecordingRibbon) -> Word:
     The entry in the path cell labelled k is the k-th symbol of the
     word.
     """
+    if not isinstance(T, QuasiRibbonTableau):
+        raise ValueError("tableau must be a QuasiRibbonTableau")
+    if not isinstance(R, RecordingRibbon):
+        raise ValueError("recording ribbon must be a RecordingRibbon")
     if T.shape != R.shape:
         raise ValueError("tableau and recording ribbon shapes differ")
     word = [0] * len(R.labels)
@@ -358,10 +361,15 @@ def predicted_shape(w: Word) -> Composition:
 def hypo_congruent(u: Word, v: Word) -> bool:
     """Whether ``u`` and ``v`` have the same quasi-ribbon tableau.
 
-    Decided through the cheap characterization: equal weights and equal
-    predicted shapes.  ``weight`` checks the symbols of both words.
+    Both tableaux are read off one stable sort of each word: equal
+    shapes first, then equal contents, the symbols in sorted order.
+    Neither step grows with the largest symbol.
     """
-    return weight(u) == weight(v) and _sort_positions(u)[1] == _sort_positions(v)[1]
+    _check_symbols(u)
+    _check_symbols(v)
+    order_u, shape_u = _sort_positions(u)
+    order_v, shape_v = _sort_positions(v)
+    return shape_u == shape_v and [u[h] for h in order_u] == [v[h] for h in order_v]
 
 
 def hypoplactic_relations(n: int) -> list[tuple[Word, Word]]:

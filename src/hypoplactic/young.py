@@ -13,7 +13,12 @@ Schensted insertion is one private bumping loop over a whole word,
 shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
 appends without bisecting once a symbol reaches the row's last entry,
 and records only the row in which each insertion ended; ``rsk`` builds
-the recording tableau Q from those end rows after the loop.  One private
+the recording tableau Q from those end rows after the loop.  Below the
+top row it uses the row-bumping lemma: an entry bumped out of column c
+lands in the next row at a column no further right than c, because
+that row's entry in column c, where there is one, lies strictly below
+the bumped entry in its column and so exceeds it.  Such an entry needs
+no end-of-row test and searches only the columns left of c.  One private
 reverse-bumping loop undoes it from the end rows, for ``rsk_inverse``
 and for the crystal root in ``graphs``.
 """
@@ -221,17 +226,41 @@ def _schensted(
     goes on into the next row down, or starts a new row below the last
     one.  The loop keeps no other record: the recording tableau is built
     from the end rows afterwards.
+
+    The top row is searched whole.  Below it, the loop carries the
+    column c that the bumped entry a left.  Where the next row has a
+    column c, its entry there sat below a before the bump, so column
+    strictness makes it greater than a: a lands at a column at most c,
+    found by bisecting the columns before c, and cannot end the
+    insertion.  Where the row is shorter than c + 1 the end-of-row test
+    and the whole-row search apply as in the top row.
     """
     if rows is None:
         rows = []
     ends = []
     for a in w:
-        r = 0
-        for row in rows:
-            if a >= row[-1]:
+        if not rows:
+            rows.append([a])
+            ends.append(0)
+            continue
+        row = rows[0]
+        if a >= row[-1]:
+            row.append(a)
+            ends.append(0)
+            continue
+        c = bisect_right(row, a)
+        row[c], a = a, row[c]
+        r = 1
+        height = len(rows)
+        while r < height:
+            row = rows[r]
+            if c < len(row):
+                c = bisect_right(row, a, 0, c)
+            elif a >= row[-1]:
                 row.append(a)
                 break
-            c = bisect_right(row, a)
+            else:
+                c = bisect_right(row, a)
             row[c], a = a, row[c]
             r += 1
         else:
@@ -307,6 +336,8 @@ def rsk_inverse(P: YoungTableau, Q: StandardYoungTableau) -> Word:
     rows undo the insertions of P, last first.  Any Young tableau P and
     standard Young tableau Q of one shape are the pair of some word.
     """
+    if not isinstance(P, YoungTableau):
+        raise ValueError("insertion tableau must be a YoungTableau")
     if not isinstance(Q, StandardYoungTableau):
         raise ValueError("recording tableau must be a StandardYoungTableau")
     if P.shape != Q.shape:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from collections import Counter, defaultdict
 
 import pytest
@@ -175,6 +176,15 @@ class TestIsHighestWeightHypo:
         assert not is_highest_weight_hypo(w[:-2] + (1, 2))
         assert not is_highest_weight_hypo(w[:-1])
         assert not is_highest_weight_hypo(tuple(range(1, 8001)))
+
+    def test_a_word_shorter_than_its_largest_symbol_allocates_nothing_per_symbol(self):
+        tracemalloc.start()
+        try:
+            assert not is_highest_weight_hypo((1, 10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestSignatures:

@@ -497,6 +497,15 @@ class TestSchenstedAgainstRowInsertFold:
     def test_long_words_over_as_many_symbols_as_their_length(self, w):
         assert_schensted_matches_row_insert_fold(w)
 
+    def test_seeded_words_up_to_2000_over_as_many_symbols(self):
+        """Long enough for bump paths of dozens of rows, where a bumped
+        entry's search is bounded by the column it left."""
+        rng = random.Random(2023)
+        for length in (2, 10, 100, 1000, 2000, *(rng.randint(200, 2000) for _ in range(2))):
+            assert_schensted_matches_row_insert_fold(
+                tuple(rng.randint(1, length) for _ in range(length))
+            )
+
     @pytest.mark.parametrize("regime", ["small", "large"])
     def test_greene_first_row_and_row_count(self, regime):
         """Greene's theorem: the first row of P is as long as the longest

@@ -1,6 +1,8 @@
+import random
+import tracemalloc
 from bisect import bisect_right
 from collections import defaultdict
-from itertools import permutations
+from itertools import permutations, product
 
 import pytest
 from hypothesis import given
@@ -242,6 +244,13 @@ class TestHypoRskInverse:
         with pytest.raises(ValueError):
             hypo_rsk_inverse(t, r)
 
+    def test_rejects_arguments_of_the_wrong_type(self):
+        t, r = hypo_rsk((2, 1))
+        with pytest.raises(ValueError, match="^tableau must be a QuasiRibbonTableau$"):
+            hypo_rsk_inverse(r, t)
+        with pytest.raises(ValueError, match="^recording ribbon must be a RecordingRibbon$"):
+            hypo_rsk_inverse(t, t)
+
     def test_left_inverse_exhaustive(self):
         for w in words_up_to(4, 5):
             assert hypo_rsk_inverse(*hypo_rsk(w)) == w
@@ -313,6 +322,53 @@ class TestHypoCongruent:
             assert sorted(by_characterization.values(), key=sorted) == sorted(
                 by_tableau.values(), key=sorted
             )
+
+    def test_every_pair_agrees_with_tableau_equality(self):
+        """hypo_congruent itself, on every pair of words of one length
+        over 1..3 up to length 5."""
+        for length in range(6):
+            same_length = [(w, hypo_rsk(w)[0]) for w in words_up_to(3, length) if len(w) == length]
+            for (u, tu), (v, tv) in product(same_length, repeat=2):
+                assert hypo_congruent(u, v) == (tu == tv)
+
+    def test_long_pairs_built_from_the_tableau_reading(self):
+        """The reading of a word's tableau is congruent to it.  The
+        reading with every symbol raised by one has the same shape and
+        other contents; a shuffle of it has the same contents.  The
+        reading with one symbol changed, or with two neighbours swapped,
+        is congruent exactly when the tableaux still agree."""
+        rng = random.Random(1601)
+        for length in (100, 1000, 4000):
+            for n in (4, length):
+                w = tuple(rng.randint(1, n) for _ in range(length))
+                t = hypo_rsk(w)[0]
+                reading = t.reading()
+                assert hypo_congruent(w, reading) and hypo_congruent(reading, w)
+                raised = tuple(a + 1 for a in reading)
+                assert predicted_shape(raised) == t.shape
+                assert not hypo_congruent(w, raised)
+                shuffled = tuple(rng.sample(reading, length))
+                assert hypo_congruent(w, shuffled) == (hypo_rsk(shuffled)[0] == t)
+                for _ in range(20):
+                    v = list(reading)
+                    i = rng.randrange(length - 1)
+                    if rng.random() < 0.5:
+                        v[i], v[i + 1] = v[i + 1], v[i]
+                    else:
+                        v[i] = rng.randint(1, n)
+                    v = tuple(v)
+                    assert hypo_congruent(w, v) == (hypo_rsk(v)[0] == t)
+
+    def test_memory_does_not_grow_with_the_largest_symbol(self):
+        big = (1, 10**7)
+        tracemalloc.start()
+        try:
+            assert hypo_congruent(big, big)
+            assert not hypo_congruent(big, big[::-1])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
 
 class TestHypoplacticRelations:

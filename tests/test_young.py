@@ -1,6 +1,8 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hypoplactic.operators import kashiwara_e
 from hypoplactic.words import parse_word, weight
@@ -116,6 +118,23 @@ class TestSchenstedInsert:
                 diffs = [n - o for n, o in zip(new, old)]
                 assert sorted(diffs, reverse=True)[0] == 1 and sum(diffs) == 1
 
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(1, n), max_size=60).map(tuple),
+            st.lists(st.integers(1, n), max_size=20).map(tuple),
+        ))
+    )
+    def test_into_a_filled_tableau(self, pair):
+        """Inserting v symbol by symbol into the tableau of u builds the
+        tableau of uv: the loop's column bound holds for rows it did not
+        build itself."""
+        u, v = pair
+        t = rsk(u)[0]
+        for a in v:
+            t = schensted_insert(t, a)
+        assert t == rsk(u + v)[0]
+
 
 class TestRsk:
     def test_worked_run_2213(self):
@@ -188,6 +207,10 @@ class TestRskInverse:
         # Q with a repeated entry would leave an insertion with no end row
         with pytest.raises(ValueError, match="^recording tableau must be a StandardYoungTableau$"):
             rsk_inverse(YoungTableau([[1, 2]]), YoungTableau([[1, 1]]))
+
+    def test_rejects_an_insertion_tableau_that_is_not_a_tableau(self):
+        with pytest.raises(ValueError, match="^insertion tableau must be a YoungTableau$"):
+            rsk_inverse(((1,), (3,)), StandardYoungTableau([[1], [2]]))
 
 
 class TestReadingsAndTabloids:
