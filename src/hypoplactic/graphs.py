@@ -312,35 +312,30 @@ def highest_weight_word(w: Word, n: int, kind: str) -> Word:
     kind = _normalize_kind(kind)
     check_alphabet(w, n)
     if kind == QUASI_CRYSTAL:
-        order, shape = _sort_positions(w)
-        rows = (j for j, part in enumerate(shape, start=1) for _ in range(part))
-        root = [0] * len(w)
-        for h, j in zip(order, rows):
-            root[h] = j
-        return tuple(root)
+        return _quasi_root(w)
     rows, ends = _schensted(w)
     return _unschensted([[j] * len(row) for j, row in enumerate(rows, start=1)], ends)
 
 
+def _quasi_root(w: Word) -> Word:
+    """The root of the quasi-crystal component of ``w``: row j of its
+    quasi-ribbon tableau refilled with j, placed back by the labels of
+    the recording ribbon.  One stable sort; callers check ``w``."""
+    order, shape = _sort_positions(w)
+    rows = (j for j, part in enumerate(shape, start=1) for _ in range(part))
+    root = [0] * len(w)
+    for h, j in zip(order, rows):
+        root[h] = j
+    return tuple(root)
+
+
 def is_highest_weight_hypo(w: Word) -> bool:
-    """Whether no quasi raising operator acts on ``w``: the word holds
-    every symbol 1..max(w) and has an i-inversion for each i below
-    max(w), that is, some i+1 stands left of the last i.  A word shorter
-    than its largest symbol misses one, so it is turned down before the
-    per-symbol lists are made."""
+    """Whether no quasi raising operator acts on ``w``, that is, whether
+    ``w`` is the root of its quasi-crystal component: the fixed point of
+    the root map, as ``Component`` tests its root.  One stable sort, so
+    nothing is indexed by symbol."""
     _check_symbols(w)
-    m = max(w, default=0)
-    if m > len(w):
-        return False
-    first = [None] * (m + 1)  # per symbol, its first and last position
-    last = [None] * (m + 1)
-    for pos, a in enumerate(w):
-        if first[a] is None:
-            first[a] = pos
-        last[a] = pos
-    if None in last[1:]:
-        return False
-    return all(first[i + 1] < last[i] for i in range(1, m))
+    return _quasi_root(w) == tuple(w)
 
 
 def sim_related(u: Word, v: Word, n: int) -> bool:

@@ -13,6 +13,13 @@ stored (a shape plus one flat entry tuple).  A quasi-ribbon tableau is
 exactly a filling whose path entries never decrease and strictly
 increase at each row boundary.
 
+Beyond the split into rows, ribbon geometry is read off one set, the
+row breaks: the path indices at which a row starts, which are the
+proper partial sums of the shape (``words.descents_of_composition``;
+``composition_from_descents`` converts back).  The columns, the
+staircase rendering, the shape a tabloid spans and the shape after one
+insertion all come from it.
+
 The quasi-ribbon tableau and the recording ribbon share this storage,
 its checks of shape and cell count, and their rows, rendering, JSON
 form, equality, hash and repr through one private base,
@@ -26,12 +33,13 @@ name.  Words, entries and inserted symbols are checked by
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import accumulate
 
 from .words import (
     Composition,
     Word,
     _check_symbols,
+    composition_from_descents,
+    descents_of_composition,
     is_standard,
     max_decreasing_factorization,
     validate_composition,
@@ -48,15 +56,7 @@ from .young import column_reading as qr_column_reading
 
 def _breaks(shape: Composition) -> frozenset[int]:
     """Flat indices at which a new row starts (a vertical step)."""
-    return frozenset(accumulate(shape[:-1]))
-
-
-def _row_offsets(shape: Composition) -> list[int]:
-    """Leftmost grid column of each row in the staircase layout."""
-    offsets = [0]
-    for part in shape[:-1]:
-        offsets.append(offsets[-1] + part - 1)
-    return offsets
+    return frozenset(descents_of_composition(shape))
 
 
 def _split_rows(shape: Composition, flat: tuple) -> list[tuple]:
@@ -73,7 +73,7 @@ def _ribbon_columns(shape: Composition, flat: tuple) -> list[tuple]:
     breaks = _breaks(shape)
     cols: list[list] = []
     for idx, a in enumerate(flat):
-        if idx and idx in breaks:
+        if idx in breaks:
             cols[-1].append(a)
         else:
             cols.append([a])
@@ -81,15 +81,16 @@ def _ribbon_columns(shape: Composition, flat: tuple) -> list[tuple]:
 
 
 def _ribbon_ascii(shape: Composition, flat: tuple) -> str:
+    """Each row starts under the last cell of the row above, so the
+    path cell ``idx`` of row r sits in grid column ``idx - r``."""
     if not flat:
         return "(empty)"
-    offsets = _row_offsets(shape)
+    breaks = _breaks(shape)
     cells = {}
-    pos = 0
-    for r, part in enumerate(shape):
-        for c in range(part):
-            cells[r, offsets[r] + c] = flat[pos]
-            pos += 1
+    r = 0
+    for idx, a in enumerate(flat):
+        r += idx in breaks
+        cells[r, idx - r] = a
     return _render_grid(cells)
 
 
@@ -226,16 +227,14 @@ class QuasiRibbonTabloid(_ColumnFilling):
 
     @property
     def shape(self) -> Composition:
-        """Row lengths of the staircase diagram spanned by the columns."""
-        counts: list[int] = []
+        """Row lengths of the staircase diagram spanned by the columns:
+        every cell but the top one of its column starts a row."""
+        breaks: list[int] = []
         start = 0
         for col in self.columns:
-            for r in range(start, start + len(col)):
-                if r == len(counts):
-                    counts.append(0)
-                counts[r] += 1
-            start += len(col) - 1
-        return tuple(counts)
+            breaks.extend(range(start + 1, start + len(col)))
+            start += len(col)
+        return composition_from_descents(breaks, start)
 
     def is_quasi_ribbon_tableau(self) -> bool:
         """Whether consecutive columns also satisfy the row condition."""
@@ -267,22 +266,14 @@ def is_quasi_ribbon_word(w: Word) -> bool:
 
 
 def _shape_after_insert(shape: Composition, cut: int) -> Composition:
-    """New ribbon shape when a cell is inserted at path position ``cut``."""
-    if not shape:
-        return (1,)
-    if cut == 0:
-        return (1,) + shape
-    if cut == sum(shape):
-        return shape[:-1] + (shape[-1] + 1,)
-    passed = 0
-    for r, part in enumerate(shape):
-        if cut <= passed + part:
-            j = cut - passed
-            if j == part:
-                return shape[:r] + (part + 1,) + shape[r + 1:]
-            return shape[:r] + (j + 1, part - j) + shape[r + 1:]
-        passed += part
-    raise AssertionError("cut position out of range")
+    """New ribbon shape when a cell is inserted at path position ``cut``:
+    the breaks from ``cut`` on move one cell down the path, and the cell
+    after the new one, if any, starts a row."""
+    size = sum(shape)
+    breaks = [d if d < cut else d + 1 for d in descents_of_composition(shape)]
+    if cut < size:
+        breaks.append(cut + 1)
+    return composition_from_descents(breaks, size + 1)
 
 
 def kt_insert(T: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
@@ -293,6 +284,8 @@ def kt_insert(T: QuasiRibbonTableau, a: int) -> QuasiRibbonTableau:
     place, ``a`` extends that row, and the remainder of the ribbon hangs
     below the new cell.
     """
+    if not isinstance(T, QuasiRibbonTableau):
+        raise ValueError("tableau must be a QuasiRibbonTableau")
     _check_symbols((a,))
     cut = bisect_right(T.entries, a)
     return QuasiRibbonTableau(

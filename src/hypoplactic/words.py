@@ -33,7 +33,7 @@ input reads the same in every layer.
 
 from __future__ import annotations
 
-from itertools import product, zip_longest
+from itertools import accumulate, product, zip_longest
 from typing import Iterable, Iterator
 
 Word = tuple[int, ...]
@@ -138,12 +138,7 @@ def descent_composition(w: Word) -> Composition:
 
 def descents_of_composition(a: Composition) -> tuple[int, ...]:
     """Proper partial sums a[0], a[0]+a[1], ... (the last sum excluded)."""
-    out = []
-    s = 0
-    for part in a[:-1]:
-        s += part
-        out.append(s)
-    return tuple(out)
+    return tuple(accumulate(a[:-1]))
 
 
 def coarser(b: Composition, a: Composition) -> bool:

@@ -298,6 +298,8 @@ def schensted_insert(T: YoungTableau, a: int) -> YoungTableau:
     there; otherwise it replaces the leftmost strictly greater entry and
     the displaced entry is inserted into the next row down.
     """
+    if not isinstance(T, YoungTableau):
+        raise ValueError("tableau must be a YoungTableau")
     _check_symbols((a,))
     rows, _ = _schensted((a,), [list(row) for row in T.rows])
     return YoungTableau(rows)
@@ -373,9 +375,14 @@ def is_tableau_word(w: Word) -> bool:
 
 
 def is_yamanouchi(w: Word) -> bool:
-    """Whether every suffix of ``w`` has non-increasing weight."""
+    """Whether every suffix of ``w`` has non-increasing weight.  Such a
+    word holds every symbol 1..max(w), so a word shorter than its
+    largest symbol is turned down before the counts are made."""
     _check_symbols(w)
-    counts = [0] * (max(w, default=0) + 1)
+    m = max(w, default=0)
+    if m > len(w):
+        return False
+    counts = [0] * (m + 1)
     for a in reversed(w):
         counts[a] += 1
         # only the pair (a-1, a) can break when a is counted

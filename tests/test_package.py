@@ -1,12 +1,16 @@
-"""The package's public names, and a rule its source keeps.
+"""The package's public names, the README tour of them, and a rule its
+source keeps.
 
 The export list is pinned here, so that adding or removing a public
-name shows in a test's diff.  The internal checks raise AssertionError
-explicitly: an ``assert`` statement is stripped under ``python -O``,
-where ``hypoplactic.cli verify`` must still fail on a broken check.
+name shows in a test's diff.  The tour in ``README.md`` runs as a
+doctest, so a change of behaviour it shows fails here.  The internal
+checks raise AssertionError explicitly: an ``assert`` statement is
+stripped under ``python -O``, where ``hypoplactic.cli verify`` must
+still fail on a broken check.
 """
 
 import ast
+import doctest
 import types
 from pathlib import Path
 
@@ -47,6 +51,13 @@ def test_public_names():
     )
     assert exported == EXPORTS
     assert len(EXPORTS) == 79
+
+
+def test_readme_tour_runs_as_a_doctest():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    failed, attempted = doctest.testfile(str(readme), module_relative=False)
+    assert attempted >= 10
+    assert failed == 0
 
 
 def test_no_assert_statements_in_the_package():

@@ -112,6 +112,14 @@ class TestQuasiRibbonTabloid:
         assert EQ43_TABLOID.shape == (3, 1, 5, 2)
         assert qr_tabloid_of((1, 3, 1, 3)).shape == (2, 2)
 
+    def test_shape_spans_the_columns(self):
+        """The ribbon of the tabloid's shape, split into columns, has
+        the tabloid's column lengths."""
+        for w in words_up_to(4, 6):
+            tabloid = qr_tabloid_of(w)
+            ribbon = standard_ribbon(tabloid.shape)
+            assert list(map(len, ribbon.columns)) == list(map(len, tabloid.columns))
+
     def test_validation(self):
         with pytest.raises(ValueError):
             QuasiRibbonTabloid([(2, 1)])
@@ -192,6 +200,11 @@ class TestKtInsert:
                 grown = kt_insert(t, a)
                 assert grown.entries == tuple(sorted(t.entries + (a,)))
                 assert grown.shape == predicted_shape(w + (a,))
+
+    def test_rejects_a_tableau_of_another_class(self):
+        for t in (YoungTableau([[1, 1], [2]]), RecordingRibbon((2, 1), (2, 3, 1))):
+            with pytest.raises(ValueError, match="^tableau must be a QuasiRibbonTableau$"):
+                kt_insert(t, 3)
 
 
 class TestHypoRsk:

@@ -1,3 +1,4 @@
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoplactic.operators import kashiwara_e
+from hypoplactic.quasiribbon import QuasiRibbonTableau
 from hypoplactic.words import parse_word, weight
 from hypoplactic.young import (
     StandardYoungTableau,
@@ -134,6 +136,12 @@ class TestSchenstedInsert:
         for a in v:
             t = schensted_insert(t, a)
         assert t == rsk(u + v)[0]
+
+    def test_rejects_a_tableau_of_another_class(self):
+        with pytest.raises(ValueError, match="^tableau must be a YoungTableau$"):
+            schensted_insert(QuasiRibbonTableau((2, 1), (1, 1, 2)), 3)
+        with pytest.raises(ValueError, match="^tableau must be a YoungTableau$"):
+            schensted_insert(((1, 1), (2,)), 3)
 
 
 class TestRsk:
@@ -273,6 +281,15 @@ class TestYamanouchi:
         assert is_yamanouchi(w + w)
         assert not is_yamanouchi((20000,) + w)
         assert not is_yamanouchi(w + (2,))
+
+    def test_a_word_shorter_than_its_largest_symbol_allocates_nothing_per_symbol(self):
+        tracemalloc.start()
+        try:
+            assert not is_yamanouchi((1, 10**7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_characterizes_crystal_highest_weight(self):
         for w in words_up_to(3, 5):
