@@ -27,6 +27,7 @@ from .quasiribbon import _sort_positions, hypo_congruent
 from .words import (
     WeakComposition,
     Word,
+    _check_label,
     _check_symbols,
     check_alphabet,
     format_word,
@@ -160,16 +161,20 @@ class Component:
     store; all but ``edges`` are built on first use and kept.
 
     The constructor is the one validator of a component: ``out`` maps
-    each vertex to its labelled out-neighbours, sinks included.  The
-    root must be a vertex of ``out`` and its own highest-weight word;
-    then one walk of the root's true component, stopped once it finds
-    more vertices than ``out`` has, must read for every vertex exactly
-    its out-edges in ``out`` and find exactly the vertices of ``out``.
-    The walk checks the component's structure on the way.
+    each vertex to its labelled out-neighbours, sinks included, and
+    every label must be an integer of at least 1.  The root must be a
+    vertex of ``out`` and its own highest-weight word; then one walk of
+    the root's true component, stopped once it finds more vertices than
+    ``out`` has, must read for every vertex exactly its out-edges in
+    ``out`` and find exactly the vertices of ``out``.  The walk checks
+    the component's structure on the way.
     """
 
     def __init__(self, kind: str, n: int, root: Word, out: dict[Word, dict[int, Word]]):
         kind = _normalize_kind(kind)
+        for row in out.values():
+            for i in row:
+                _check_label(i)
         if root not in out:
             raise ValueError("root is not a vertex of the component")
         if highest_weight_word(root, n, kind) != root:
@@ -441,10 +446,39 @@ def component_to_json_dict(c: Component) -> dict:
     }
 
 
+def _json_word(text) -> Word:
+    if type(text) is not str:
+        raise ValueError(f"a word in component JSON must be a string, got {text!r}")
+    return parse_word(text)
+
+
 def component_from_json_dict(data: dict) -> Component:
-    """Load a component; the constructor rejects one that is not a
-    component of its kind."""
-    out: dict[Word, dict[int, Word]] = {parse_word(v): {} for v in data["vertices"]}
+    """Load a component.  The loader checks the form of the JSON: every
+    field present, words as strings, the vertices and edges as lists,
+    each vertex listed once, and each edge leaving a listed vertex by a
+    label, checked before it keys that vertex's edges, that no other
+    edge from the vertex uses.  The constructor rejects anything that
+    is not a component of its kind."""
+    fields = ("kind", "n", "root", "vertices", "edges")
+    if not isinstance(data, dict) or any(f not in data for f in fields):
+        raise ValueError("a component must be a JSON object with fields " + ", ".join(fields))
+    if type(data["vertices"]) is not list or type(data["edges"]) is not list:
+        raise ValueError("component vertices and edges must be JSON lists")
+    out: dict[Word, dict[int, Word]] = {}
+    for text in data["vertices"]:
+        v = _json_word(text)
+        if v in out:
+            raise ValueError(f"vertex {text!r} is listed twice")
+        out[v] = {}
     for edge in data["edges"]:
-        out[parse_word(edge["from"])][edge["label"]] = parse_word(edge["to"])
-    return Component(data["kind"], data["n"], parse_word(data["root"]), out)
+        if not isinstance(edge, dict) or any(f not in edge for f in ("from", "label", "to")):
+            raise ValueError("each edge must be a JSON object with fields from, label, to")
+        row = out.get(_json_word(edge["from"]))
+        if row is None:
+            raise ValueError(f"edge from {edge['from']!r}, which is not a listed vertex")
+        label = edge["label"]
+        _check_label(label)
+        if label in row:
+            raise ValueError(f"two edges leave {edge['from']!r} with label {label}")
+        row[label] = _json_word(edge["to"])
+    return Component(data["kind"], data["n"], _json_word(data["root"]), out)

@@ -13,21 +13,27 @@ stored (a shape plus one flat entry tuple).  A quasi-ribbon tableau is
 exactly a filling whose path entries never decrease and strictly
 increase at each row boundary.
 
-Beyond the split into rows, ribbon geometry is read off one set, the
-row breaks: the path indices at which a row starts, which are the
-proper partial sums of the shape (``words.descents_of_composition``;
-``composition_from_descents`` converts back).  The columns, the
-staircase rendering, the shape a tabloid spans and the shape after one
-insertion all come from it.
+Every filling is checked and read straight off what it stores, with
+no set or object built per call.  The columns and the staircase
+rendering walk the shape row by row: the first cell of every row but
+the top one continues the column above, and path cell ``idx`` of row r
+sits in grid column ``idx - r``.  A tabloid's shape is summed from its
+column lengths, since each column's top cell extends the current row
+and each cell below it starts a new one.  The shape after one
+insertion moves the row breaks, the proper partial sums of the shape
+(``words.descents_of_composition``).
 
 The quasi-ribbon tableau and the recording ribbon share this storage,
 its checks of shape and cell count, and their rows, rendering, JSON
 form, equality, hash and repr through one private base,
 ``_RibbonFilling``; each adds only its own rule along the path.  The
-quasi-ribbon tabloid shares ``young``'s column base with the tabloid,
-and ``qr_column_reading`` is ``young.column_reading`` under a second
-name.  Words, entries and inserted symbols are checked by
-``words._check_symbols``, shapes by ``words.validate_composition``.
+recording ribbon's rule is that its labels are 1..N and have the
+shape as their descent composition, which is how std(w)^-1 fills the
+ribbon of its descents.  The quasi-ribbon tabloid shares ``young``'s
+column base with the tabloid, and ``qr_column_reading`` is
+``young.column_reading`` under a second name.  Words, entries and
+inserted symbols are checked by ``words._check_symbols``, shapes by
+``words.validate_composition``.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ from .words import (
     Word,
     _check_symbols,
     composition_from_descents,
+    descent_composition,
     descents_of_composition,
     is_standard,
     max_decreasing_factorization,
@@ -54,11 +61,6 @@ from .young import (
 from .young import column_reading as qr_column_reading
 
 
-def _breaks(shape: Composition) -> frozenset[int]:
-    """Flat indices at which a new row starts (a vertical step)."""
-    return frozenset(descents_of_composition(shape))
-
-
 def _split_rows(shape: Composition, flat: tuple) -> list[tuple]:
     rows = []
     pos = 0
@@ -69,28 +71,31 @@ def _split_rows(shape: Composition, flat: tuple) -> list[tuple]:
 
 
 def _ribbon_columns(shape: Composition, flat: tuple) -> list[tuple]:
-    """Group path entries into columns, each listed top to bottom."""
-    breaks = _breaks(shape)
+    """Group path entries into columns, each listed top to bottom: the
+    first cell of every row but the top one continues the column above,
+    and every other cell starts a column."""
     cols: list[list] = []
-    for idx, a in enumerate(flat):
-        if idx in breaks:
-            cols[-1].append(a)
-        else:
-            cols.append([a])
+    idx = 0
+    for part in shape:
+        end = idx + part
+        if idx:
+            cols[-1].append(flat[idx])
+            idx += 1
+        while idx < end:
+            cols.append([flat[idx]])
+            idx += 1
     return [tuple(col) for col in cols]
 
 
 def _ribbon_ascii(shape: Composition, flat: tuple) -> str:
     """Each row starts under the last cell of the row above, so the
     path cell ``idx`` of row r sits in grid column ``idx - r``."""
-    if not flat:
-        return "(empty)"
-    breaks = _breaks(shape)
     cells = {}
-    r = 0
-    for idx, a in enumerate(flat):
-        r += idx in breaks
-        cells[r, idx - r] = a
+    start = 0
+    for r, part in enumerate(shape):
+        for idx in range(start, start + part):
+            cells[r, idx - r] = flat[idx]
+        start += part
     return _render_grid(cells)
 
 
@@ -109,7 +114,7 @@ class _RibbonFilling:
         cells = tuple(cells)
         if len(cells) != sum(shape):
             raise ValueError(f"{self._CELL} count does not match shape")
-        self._check_path(cells, _breaks(shape))
+        self._check_path(cells, shape)
         self.shape = shape
         self._cells = cells
 
@@ -175,12 +180,13 @@ class QuasiRibbonTableau(_RibbonFilling):
         _RibbonFilling.__init__(self, shape, entries)
 
     @staticmethod
-    def _check_path(entries: tuple, breaks: frozenset[int]) -> None:
+    def _check_path(entries: tuple, shape: Composition) -> None:
         _check_symbols(entries)
         for idx in range(1, len(entries)):
             if entries[idx] < entries[idx - 1]:
                 raise ValueError("entries must be non-decreasing along the ribbon")
-            if idx in breaks and entries[idx] == entries[idx - 1]:
+        for d in descents_of_composition(shape):
+            if entries[d - 1] >= entries[d]:
                 raise ValueError("entries must strictly increase down each column")
 
     @property
@@ -203,15 +209,11 @@ class RecordingRibbon(_RibbonFilling):
         _RibbonFilling.__init__(self, shape, labels)
 
     @staticmethod
-    def _check_path(labels: tuple, breaks: frozenset[int]) -> None:
+    def _check_path(labels: tuple, shape: Composition) -> None:
         if not is_standard(labels):
             raise ValueError("labels must be exactly 1..N")
-        for idx in range(1, len(labels)):
-            if idx in breaks:
-                if labels[idx] > labels[idx - 1]:
-                    raise ValueError("labels must decrease down each column")
-            elif labels[idx] < labels[idx - 1]:
-                raise ValueError("labels must increase along each row")
+        if descent_composition(labels) != shape:
+            raise ValueError("labels must increase along each row and decrease down each column")
 
     def to_json_dict(self) -> dict:
         return {**super().to_json_dict(), "standard": True}
@@ -228,13 +230,13 @@ class QuasiRibbonTabloid(_ColumnFilling):
     @property
     def shape(self) -> Composition:
         """Row lengths of the staircase diagram spanned by the columns:
-        every cell but the top one of its column starts a row."""
-        breaks: list[int] = []
-        start = 0
+        the top cell of each column extends the current row, and every
+        cell below it starts a new row."""
+        shape = [0]
         for col in self.columns:
-            breaks.extend(range(start + 1, start + len(col)))
-            start += len(col)
-        return composition_from_descents(breaks, start)
+            shape[-1] += 1
+            shape += [1] * (len(col) - 1)
+        return tuple(shape) if self.columns else ()
 
     def is_quasi_ribbon_tableau(self) -> bool:
         """Whether consecutive columns also satisfy the row condition."""
@@ -244,8 +246,7 @@ class QuasiRibbonTabloid(_ColumnFilling):
     def to_tableau(self) -> QuasiRibbonTableau:
         if not self.is_quasi_ribbon_tableau():
             raise ValueError("tabloid is not a quasi-ribbon tableau")
-        flat = tuple(a for col in self.columns for a in col)
-        return QuasiRibbonTableau(self.shape, flat)
+        return QuasiRibbonTableau(self.shape, (a for col in self.columns for a in col))
 
     def ascii(self) -> str:
         return _ribbon_ascii(self.shape, tuple(a for col in self.columns for a in col))
@@ -402,4 +403,6 @@ def slide_up_slide_left(T: QuasiRibbonTableau) -> YoungTableau:
     P; applied to the standard filling of the same shape it yields the
     recording tableau Q.
     """
+    if not isinstance(T, QuasiRibbonTableau):
+        raise ValueError("tableau must be a QuasiRibbonTableau")
     return YoungTableau(_top_aligned_rows(T.columns))

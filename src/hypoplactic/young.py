@@ -5,9 +5,11 @@ Tableaux are stored row by row, top row first, in the top-left-aligned
 (English) convention.  Tabloids are stored column by column since that
 is how they are read.  The column storage, its checks, equality, hash
 and repr live in one private base, ``_ColumnFilling``, which this
-module's ``Tabloid`` and the quasi-ribbon tabloid share; ``column_reading``
-reads either, and reads the quasi-ribbon tableau too.  Rows, columns,
-words and inserted symbols are checked by ``words._check_symbols``.
+module's ``Tabloid`` and the quasi-ribbon tabloid share.  A Young
+tableau lists its columns too, as its rows transposed, so
+``column_reading`` reads the ``columns`` of any of the four fillings
+and ``to_tabloid`` wraps them.  Rows, columns, words and inserted
+symbols are checked by ``words._check_symbols``.
 
 Schensted insertion is one private bumping loop over a whole word,
 shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
@@ -49,7 +51,8 @@ def _render_grid(cells: dict[tuple[int, int], int]) -> str:
 
 def _top_aligned_rows(columns) -> list[list[int]]:
     """The rows of ``columns`` hung from one top row, each row packed
-    to the left."""
+    to the left.  Given the rows of a Young tableau in place of
+    columns, it returns the tableau's columns."""
     height = max(map(len, columns), default=0)
     return [[col[r] for col in columns if len(col) > r] for r in range(height)]
 
@@ -95,14 +98,15 @@ class YoungTableau:
     def entries(self) -> list[int]:
         return [a for row in self.rows for a in row]
 
+    @property
+    def columns(self) -> list[tuple[int, ...]]:
+        """The columns, left to right, each listed top to bottom: the
+        rows transposed."""
+        return list(map(tuple, _top_aligned_rows(self.rows)))
+
     def to_tabloid(self) -> "Tabloid":
         """The same filling viewed column by column."""
-        if not self.rows:
-            return Tabloid()
-        columns = []
-        for c in range(len(self.rows[0])):
-            columns.append(tuple(row[c] for row in self.rows if len(row) > c))
-        return Tabloid(columns)
+        return Tabloid(self.columns)
 
     def ascii(self) -> str:
         cells = {
@@ -354,12 +358,11 @@ def rsk_inverse(P: YoungTableau, Q: StandardYoungTableau) -> Word:
 def column_reading(t) -> Word:
     """Read columns left to right, each bottom to top.
 
-    Accepts a YoungTableau or anything with columns listed top to
-    bottom: a Tabloid, a QuasiRibbonTabloid or a QuasiRibbonTableau.
-    ``quasiribbon.qr_column_reading`` is this same function.
+    Accepts any filling whose ``columns`` are listed top to bottom: a
+    YoungTableau, a Tabloid, a QuasiRibbonTabloid or a
+    QuasiRibbonTableau.  ``quasiribbon.qr_column_reading`` is this same
+    function.
     """
-    if isinstance(t, YoungTableau):
-        t = t.to_tabloid()
     return tuple(a for col in t.columns for a in reversed(col))
 
 

@@ -180,6 +180,19 @@ class TestCongruent:
         code, out, _ = run(capsys, "congruent", "12", "12")
         assert code == 0 and out.strip() == "true"
 
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "congruent", "12", "21", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"congruent": False})
+        code, out, _ = run(
+            capsys, "congruent", "1324", "3142", "-n", "4", "--relation", "sim", "--format", "json"
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "congruent": True,
+            "highest_weight_u": "1212",
+            "highest_weight_v": "2121",
+        }
+
     def test_hypo_false(self, capsys):
         code, out, _ = run(capsys, "congruent", "12", "21")
         assert code == 0 and out.strip() == "false"
@@ -198,6 +211,10 @@ class TestHighestWeight:
     def test_quasi(self, capsys):
         code, out, _ = run(capsys, "highest-weight", "2112", "-n", "3")
         assert code == 0 and out.strip() == "2112"
+
+    def test_json(self, capsys):
+        code, out, _ = run(capsys, "highest-weight", "2113", "-n", "3", "--format", "json")
+        assert (code, json.loads(out)) == (0, {"highest_weight": "2112"})
 
     def test_crystal(self, capsys):
         code, out, _ = run(capsys, "highest-weight", "1231", "-n", "3", "--kind", "crystal")
@@ -250,6 +267,19 @@ class TestCounts:
     def test_missing_n(self, capsys):
         code, _, err = run(capsys, "count-qrt", "2,2")
         assert code == 1
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_brute_mismatch_is_exit_3(self, capsys, monkeypatch, fmt):
+        # the parser reads the oracle off the module on every call
+        from hypoplactic import counting
+
+        monkeypatch.setattr(counting, "count_qrt_brute", lambda shape, n: 14)
+        code, out, err = run(capsys, "count-qrt", "2,2", "-n", "4", "--brute", "--format", fmt)
+        assert (code, err) == (3, "oracle mismatch\n")
+        if fmt == "json":
+            assert json.loads(out) == {"formula": 15, "brute": 14}
+        else:
+            assert out == "formula: 15\nbrute: 14\n"
 
 
 class TestVerify:

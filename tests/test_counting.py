@@ -209,6 +209,11 @@ class TestCountIsoComponents:
     def test_single_row(self):
         assert count_iso_plac_components_with_qrw((6,), 1) == 1
 
+    def test_empty_partition_has_the_one_empty_component(self):
+        for n in (1, 3):
+            assert count_iso_plac_components_with_qrw((), n) == 1
+            assert count_iso_plac_components_with_qrw_brute((), n) == 1
+
     def test_two_by_two(self):
         assert count_iso_plac_components_with_qrw((2, 2), 4) == multinomial(2, (0, 2)) == 1
 

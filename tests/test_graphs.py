@@ -72,6 +72,20 @@ class TestExplore:
             assert parse_word(drawn) in c.vertices
         assert all(is_quasi_ribbon_word(v) for v in c.vertices)
 
+    @pytest.mark.parametrize("call", [
+        lambda: explore_component((1,), 2, "plactic"),
+        lambda: highest_weight_word((1,), 2, "plactic"),
+        lambda: Component("plactic", 2, (1,), {(1,): {}}),
+    ], ids=["explore", "highest_weight", "Component"])
+    def test_rejects_an_unknown_kind(self, call):
+        with pytest.raises(ValueError, match="^unknown graph kind 'plactic'$"):
+            call()
+
+    def test_repr_names_kind_bound_root_and_size(self):
+        assert repr(explore_component((1, 2), 2, "quasi")) == (
+            "Component(kind='quasi-crystal', n=2, root='11', size=3)"
+        )
+
     def test_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             explore_component((3,), 2, QUASI_CRYSTAL)
@@ -683,6 +697,75 @@ class TestSerialization:
         }
         with pytest.raises(ValueError, match="not a highest-weight word"):
             component_from_json_dict(data)
+
+    # the quasi-crystal component of 1 over 1..2: 1 -1-> 2
+    _ONE_TWO = {
+        "kind": QUASI_CRYSTAL,
+        "n": 2,
+        "root": "1",
+        "vertices": ["1", "2"],
+        "edges": [{"from": "1", "label": 1, "to": "2"}],
+    }
+
+    @pytest.mark.parametrize("label", [1.0, True, "1", None, [1]])
+    def test_json_rejects_a_label_that_is_not_an_integer(self, label):
+        data = {**self._ONE_TWO, "edges": [{"from": "1", "label": label, "to": "2"}]}
+        with pytest.raises(ValueError, match="^i must be an integer"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("label", [1.0, True])
+    def test_constructor_rejects_a_label_that_is_not_an_integer(self, label):
+        with pytest.raises(ValueError, match="^i must be an integer"):
+            Component(QUASI_CRYSTAL, 2, (1,), {(1,): {label: (2,)}, (2,): {}})
+
+    def test_json_rejects_two_edges_with_one_source_and_label(self):
+        data = {**self._ONE_TWO, "edges": [
+            {"from": "1", "label": 1, "to": "1"},
+            {"from": "1", "label": 1, "to": "2"},
+        ]}
+        with pytest.raises(ValueError, match="^two edges leave '1' with label 1$"):
+            component_from_json_dict(data)
+
+    def test_json_rejects_a_vertex_listed_twice(self):
+        data = {**self._ONE_TWO, "vertices": ["1", "2", "1"]}
+        with pytest.raises(ValueError, match="^vertex '1' is listed twice$"):
+            component_from_json_dict(data)
+
+    def test_json_rejects_an_edge_from_an_unlisted_vertex(self):
+        data = {**self._ONE_TWO, "edges": [
+            {"from": "1", "label": 1, "to": "2"},
+            {"from": "11", "label": 1, "to": "12"},
+        ]}
+        with pytest.raises(ValueError, match="^edge from '11', which is not a listed vertex$"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["root", "from", "to"])
+    def test_json_rejects_a_word_that_is_not_a_string(self, field):
+        data = {**self._ONE_TWO, "edges": [{"from": "1", "label": 1, "to": "2"}]}
+        if field == "root":
+            data["root"] = 1
+        else:
+            data["edges"][0][field] = int(data["edges"][0][field])
+        with pytest.raises(ValueError, match="^a word in component JSON must be a string"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["vertices", "edges"])
+    def test_json_rejects_a_string_in_place_of_a_list(self, field):
+        data = {**self._ONE_TWO, field: "12"}
+        with pytest.raises(ValueError, match="^component vertices and edges must be JSON lists$"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["kind", "n", "root", "vertices", "edges"])
+    def test_json_rejects_a_missing_field(self, field):
+        data = {k: v for k, v in self._ONE_TWO.items() if k != field}
+        with pytest.raises(ValueError, match="^a component must be a JSON object with fields"):
+            component_from_json_dict(data)
+
+    @pytest.mark.parametrize("field", ["from", "label", "to"])
+    def test_json_rejects_an_edge_missing_a_field(self, field):
+        edge = {k: v for k, v in self._ONE_TWO["edges"][0].items() if k != field}
+        with pytest.raises(ValueError, match="^each edge must be a JSON object"):
+            component_from_json_dict({**self._ONE_TWO, "edges": [edge]})
 
     def test_json_quasi_flags(self):
         c = explore_component(parse_word("2111"), 4, CRYSTAL)

@@ -80,6 +80,15 @@ class TestQuasiRibbonTableau:
         assert QuasiRibbonTableau.from_json_dict(EQ42.to_json_dict()) == EQ42
         assert EQ42.to_json_dict()["shape"] == [3, 1, 5, 2]
 
+    @pytest.mark.parametrize("cls, rows", [
+        (QuasiRibbonTableau, [[1], [2, 3]]),
+        (RecordingRibbon, [[3], [1, 2]]),
+    ])
+    def test_json_refuses_a_shape_field_that_disagrees_with_rows(self, cls, rows):
+        cls.from_rows(rows)  # the rows alone are a valid filling
+        with pytest.raises(ValueError, match="^shape field disagrees with rows$"):
+            cls.from_json_dict({"shape": [2, 1], "rows": rows})
+
     def test_ascii_staircase(self):
         t, _ = hypo_rsk(parse_word("4323"))
         assert t.ascii() == "2\n3 3\n  4"
@@ -107,6 +116,54 @@ class TestRecordingRibbon:
         assert RecordingRibbon().ascii() == "(empty)"
 
 
+def _path_rows(shape, cells):
+    rows = []
+    pos = 0
+    for part in shape:
+        rows.append(cells[pos:pos + part])
+        pos += part
+    return rows
+
+
+def _accepts(cls, shape, cells):
+    try:
+        cls(shape, cells)
+    except ValueError:
+        return False
+    return True
+
+
+class TestRibbonRulesExhaustive:
+    """On every composition of N <= 6, each ribbon constructor accepts
+    exactly the fillings that satisfy its rule, written out here row by
+    row and not through descents."""
+
+    def test_recording_ribbon_on_every_permutation(self):
+        for total in range(7):
+            shapes_per_perm = defaultdict(int)
+            for shape in compositions(total):
+                for labels in permutations(range(1, total + 1)):
+                    rows = _path_rows(shape, labels)
+                    rule = all(
+                        row[c] < row[c + 1] for row in rows for c in range(len(row) - 1)
+                    ) and all(rows[h][0] < rows[h - 1][-1] for h in range(1, len(rows)))
+                    accepted = _accepts(RecordingRibbon, shape, labels)
+                    assert accepted == rule, (shape, labels)
+                    shapes_per_perm[labels] += accepted
+            # every permutation fills exactly one ribbon: that of its descents
+            assert set(shapes_per_perm.values()) == {1}
+
+    def test_quasi_ribbon_tableau_on_every_entry_tuple_over_1_to_3(self):
+        for total in range(7):
+            for shape in compositions(total):
+                for entries in product(range(1, 4), repeat=total):
+                    rows = _path_rows(shape, entries)
+                    rule = all(
+                        entries[i] <= entries[i + 1] for i in range(total - 1)
+                    ) and all(rows[h][0] > rows[h - 1][-1] for h in range(1, len(rows)))
+                    assert _accepts(QuasiRibbonTableau, shape, entries) == rule, (shape, entries)
+
+
 class TestQuasiRibbonTabloid:
     def test_shape_of_staircase(self):
         assert EQ43_TABLOID.shape == (3, 1, 5, 2)
@@ -127,6 +184,10 @@ class TestQuasiRibbonTabloid:
     def test_ascii_staircase(self):
         assert EQ43_TABLOID.ascii() == "1 5 2\n    3\n    6 2 4 5 4\n            5 7"
         assert QuasiRibbonTabloid().ascii() == "(empty)"
+
+    def test_to_tableau_refuses_a_tabloid_that_is_no_tableau(self):
+        with pytest.raises(ValueError, match="^tabloid is not a quasi-ribbon tableau$"):
+            qr_tabloid_of((4, 3, 3)).to_tableau()
 
     def test_tableau_detection(self):
         assert not qr_tabloid_of((4, 3, 3)).is_quasi_ribbon_tableau()
@@ -428,6 +489,15 @@ class TestSlideUpSlideLeft:
                     if expected_q is None:
                         expected_q = slide_up_slide_left(standard_ribbon(shape))
                     assert expected_q == q
+
+    def test_rejects_a_tableau_of_another_class(self):
+        for t in (
+            YoungTableau([[1, 1], [2]]),
+            RecordingRibbon((2, 1), (2, 3, 1)),
+            QuasiRibbonTabloid([(1, 2), (3,)]),
+        ):
+            with pytest.raises(ValueError, match="^tableau must be a QuasiRibbonTableau$"):
+                slide_up_slide_left(t)
 
     def test_standard_fillings_injective(self):
         images = set()

@@ -151,6 +151,11 @@ class TestDescents:
         assert descent_set((3, 2, 4, 1)) == {1, 3}
         assert descent_composition((3, 2, 4, 1)) == (1, 2, 1)
 
+    @pytest.mark.parametrize("descents, total", [([0], 3), ([3], 3), ([-1], 3), ([1], 0)])
+    def test_composition_from_descents_refuses_a_descent_out_of_range(self, descents, total):
+        with pytest.raises(ValueError, match="out of range for weight"):
+            composition_from_descents(descents, total)
+
     def test_composition_matches_descents(self):
         for w in standard_words(6):
             alpha = descent_composition(w)

@@ -76,6 +76,20 @@ class TestTabloid:
         t = YoungTableau(EQ31_ROWS)
         assert t.to_tabloid().to_tableau() == t
 
+    def test_to_tableau_refuses_a_tabloid_that_is_no_tableau(self):
+        for columns in (EQ33_COLUMNS, [(1,), (1, 2)], [(2,), (1,)]):
+            with pytest.raises(ValueError, match="^tabloid is not a Young tableau$"):
+                Tabloid(columns).to_tableau()
+
+    def test_columns_of_a_tableau_listed_top_to_bottom(self):
+        t = YoungTableau([[1, 1, 2], [2, 3], [4]])
+        assert t.columns == [(1, 2, 4), (1, 3), (2,)]
+        assert YoungTableau().columns == []
+        assert t.to_tabloid() == Tabloid(t.columns)
+        # read-only, like the columns of every other filling
+        with pytest.raises(AttributeError):
+            t.columns = []
+
     def test_json_roundtrip(self):
         t = Tabloid(EQ33_COLUMNS)
         assert Tabloid.from_json_dict(t.to_json_dict()) == t
