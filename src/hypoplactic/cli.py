@@ -258,7 +258,7 @@ def _verify_laws() -> list[tuple[str, bool]]:
     kashiwara_e, kashiwara_f = operators.kashiwara_e, operators.kashiwara_f
     quasi_e, quasi_f = operators.quasi_e, operators.quasi_f
 
-    ok_inverse = ok_restrict = ok_weight = True
+    ok_inverse = ok_definition = ok_weight = True
     for length in range(5):
         for w in words.words_over(3, length):
             for i in (1, 2):
@@ -268,12 +268,18 @@ def _verify_laws() -> list[tuple[str, bool]]:
                         ok_inverse &= f_op(up, i) == w
                         ok_weight &= words.weight_leq(words.weight(w), words.weight(up))
                         ok_weight &= words.weight(w) != words.weight(up)
-                down = quasi_f(w, i)
-                if down is not None:
-                    ok_restrict &= kashiwara_f(w, i) == down
+                ups = [p for p, a in enumerate(w) if a == i + 1]
+                downs = [p for p, a in enumerate(w) if a == i]
+                inversion = ups and downs and ups[0] < downs[-1]  # some i+1 left of some i
+                ok_definition &= (quasi_e(w, i), quasi_f(w, i), operators.quasi_counts(w, i)) == (
+                    None if inversion or not ups else w[:ups[0]] + (i,) + w[ups[0] + 1:],
+                    None if inversion or not downs else w[:downs[-1]] + (i + 1,) + w[downs[-1] + 1:],
+                    (0, 0) if inversion else (len(ups), len(downs)),
+                )
     return [
         ("raising and lowering are mutually inverse", ok_inverse),
-        ("quasi operators restrict the classical ones", ok_restrict),
+        ("quasi operators are undefined on an i-inversion, else move the leftmost i+1 or rightmost i",
+         ok_definition),
         ("raising strictly raises weight", ok_weight),
     ]
 

@@ -161,8 +161,9 @@ class Component:
     store; all but ``edges`` are built on first use and kept.
 
     The constructor is the one validator of a component: ``out`` maps
-    each vertex to its labelled out-neighbours, sinks included, and
-    every label must be an integer of at least 1.  The root must be a
+    each vertex to its labelled out-neighbours, sinks included, every
+    label must be an integer of at least 1, and every vertex and target
+    must be a word of positive integers.  The root must be a
     vertex of ``out`` and its own highest-weight word; then one walk of
     the root's true component, stopped once it finds more vertices than
     ``out`` has, must read for every vertex exactly its out-edges in
@@ -175,6 +176,9 @@ class Component:
         for row in out.values():
             for i in row:
                 _check_label(i)
+        for u, row in out.items():
+            for w in (u, *row.values()):
+                _check_symbols(w)
         if root not in out:
             raise ValueError("root is not a vertex of the component")
         if highest_weight_word(root, n, kind) != root:

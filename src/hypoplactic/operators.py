@@ -7,10 +7,14 @@ raising operator turns the symbol behind the leftmost surviving "-"
 into an i; the lowering operator turns the symbol behind the rightmost
 surviving "+" into an i+1.
 
-The quasi variants refuse to act at all on a word with an i-inversion
-(an i+1 somewhere left of an i); on inversion-free words they change
-the leftmost i+1, respectively the rightmost i.  Wherever a quasi
-operator is defined it agrees with its classical counterpart.
+The quasi variants are the classical operators restricted to words
+with no i-inversion (an i+1 somewhere left of an i): on a word with
+one they are undefined.  On any other word every i stands left of
+every i+1, so no "-+" factor cancels: every i survives as a "+" and
+every i+1 as a "-".  The classical operators then change the leftmost
+i+1, respectively the rightmost i, and (epsilon, phi) are the symbol
+counts (|u|_{i+1}, |u|_i), which is how the paper defines the quasi
+operators.
 
 Partiality is a value: undefined applications return None.
 """
@@ -91,30 +95,15 @@ def kashiwara_counts(w: Word, i: int) -> tuple[int, int]:
 
 def quasi_e(u: Word, i: int) -> Optional[Word]:
     """Raise unless ``u`` has an i-inversion: leftmost i+1 becomes i."""
-    if has_inversion(u, i):
-        return None
-    for pos, a in enumerate(u):
-        if a == i + 1:
-            return u[:pos] + (i,) + u[pos + 1:]
-    return None
+    return None if has_inversion(u, i) else kashiwara_e(u, i)
 
 
 def quasi_f(u: Word, i: int) -> Optional[Word]:
     """Lower unless ``u`` has an i-inversion: rightmost i becomes i+1."""
-    if has_inversion(u, i):
-        return None
-    for pos in range(len(u) - 1, -1, -1):
-        if u[pos] == i:
-            return u[:pos] + (i + 1,) + u[pos + 1:]
-    return None
+    return None if has_inversion(u, i) else kashiwara_f(u, i)
 
 
 def quasi_counts(u: Word, i: int) -> tuple[int, int]:
     """(epsilon, phi) for the quasi operators: (0, 0) on a word with an
     i-inversion, otherwise the symbol counts (|u|_{i+1}, |u|_i)."""
-    if has_inversion(u, i):
-        return 0, 0
-    return (
-        sum(1 for a in u if a == i + 1),
-        sum(1 for a in u if a == i),
-    )
+    return (0, 0) if has_inversion(u, i) else kashiwara_counts(u, i)

@@ -27,13 +27,13 @@ The quasi-ribbon tableau and the recording ribbon share this storage,
 its checks of shape and cell count, and their rows, rendering, JSON
 form, equality, hash and repr through one private base,
 ``_RibbonFilling``; each adds only its own rule along the path.  The
-recording ribbon's rule is that its labels are 1..N and have the
-shape as their descent composition, which is how std(w)^-1 fills the
-ribbon of its descents.  The quasi-ribbon tabloid shares ``young``'s
-column base with the tabloid, and ``qr_column_reading`` is
-``young.column_reading`` under a second name.  Words, entries and
-inserted symbols are checked by ``words._check_symbols``, shapes by
-``words.validate_composition``.
+recording ribbon's rule is that its labels are 1..N and descend
+exactly at the shape's row breaks, so the shape is their descent
+composition, which is how std(w)^-1 fills the ribbon of its descents.
+The quasi-ribbon tabloid shares ``young``'s column base with the
+tabloid, and ``qr_column_reading`` is ``young.column_reading`` under a
+second name.  Words, entries and inserted symbols are checked by
+``words._check_symbols``, shapes by ``words.validate_composition``.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from .words import (
     Word,
     _check_symbols,
     composition_from_descents,
-    descent_composition,
     descents_of_composition,
     is_standard,
     max_decreasing_factorization,
@@ -212,7 +211,8 @@ class RecordingRibbon(_RibbonFilling):
     def _check_path(labels: tuple, shape: Composition) -> None:
         if not is_standard(labels):
             raise ValueError("labels must be exactly 1..N")
-        if descent_composition(labels) != shape:
+        descents = tuple(idx for idx in range(1, len(labels)) if labels[idx - 1] > labels[idx])
+        if descents != descents_of_composition(shape):
             raise ValueError("labels must increase along each row and decrease down each column")
 
     def to_json_dict(self) -> dict:

@@ -360,10 +360,13 @@ def column_reading(t) -> Word:
 
     Accepts any filling whose ``columns`` are listed top to bottom: a
     YoungTableau, a Tabloid, a QuasiRibbonTabloid or a
-    QuasiRibbonTableau.  ``quasiribbon.qr_column_reading`` is this same
-    function.
+    QuasiRibbonTableau; anything else is a ValueError.
+    ``quasiribbon.qr_column_reading`` is this same function.
     """
-    return tuple(a for col in t.columns for a in reversed(col))
+    columns = getattr(t, "columns", None)
+    if columns is None:
+        raise ValueError("expected a YoungTableau, Tabloid, QuasiRibbonTabloid or QuasiRibbonTableau")
+    return tuple(a for col in columns for a in reversed(col))
 
 
 def tabloid_of(w: Word) -> Tabloid:

@@ -1,0 +1,224 @@
+"""A mutation audit of the fast paths and the input checks.
+
+Each entry names one small change to the library that some test must
+notice: a file under ``src/hypoplactic``, an old text that occurs in it
+exactly once, the new text, and the id of the test that must fail.
+For each entry the audit copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory, applies the change to
+the copy and runs only the named test there, with a timeout.  The
+copy keeps the checkout's own ``src`` off the path, where
+``pythonpath = ["src"]`` would otherwise put it first.
+
+Run it from anywhere, with pytest and hypothesis installed::
+
+    python tests/mutation_audit.py
+
+It first runs every named test on an unchanged copy, so that a kill
+means the change and not a broken checkout.  Then it prints one line
+per entry: ``killed`` (the test failed), ``survived`` (it passed),
+``hung`` (it ran past the timeout), ``stale`` (the old text is not
+found exactly once) or ``error`` (pytest could not run the test).  It
+exits 1 on anything but ``killed``.  Standard library only; pytest
+does not collect this file, since its name has no ``test_`` prefix.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 60
+
+
+class Mutant(NamedTuple):
+    what: str
+    file: str  # relative to src/hypoplactic
+    old: str
+    new: str
+    test: str  # a pytest node id, relative to the repository root
+
+
+_DEFINITION = "tests/test_operators.py::TestQuasiOperators::test_matches_the_definition"
+_SYMBOLS = ("tests/test_graphs.py::TestSerialization::"
+            "test_constructor_rejects_a_symbol_that_is_not_an_integer")
+_BOUNDARY = ("tests/test_counting.py::TestCountIsoComponents::"
+             "test_brute_guard_at_its_boundary")
+
+MUTANTS = [
+    Mutant(
+        "quasi_e acts through an i-inversion",
+        "operators.py",
+        "return None if has_inversion(u, i) else kashiwara_e(u, i)",
+        "return kashiwara_e(u, i)",
+        _DEFINITION,
+    ),
+    Mutant(
+        "quasi_f acts through an i-inversion",
+        "operators.py",
+        "return None if has_inversion(u, i) else kashiwara_f(u, i)",
+        "return kashiwara_f(u, i)",
+        _DEFINITION,
+    ),
+    Mutant(
+        "quasi_counts counts through an i-inversion",
+        "operators.py",
+        "return (0, 0) if has_inversion(u, i) else kashiwara_counts(u, i)",
+        "return kashiwara_counts(u, i)",
+        _DEFINITION,
+    ),
+    Mutant(
+        "verify's laws suite misses a quasi_f that acts through an i-inversion",
+        "operators.py",
+        "return None if has_inversion(u, i) else kashiwara_f(u, i)",
+        "return kashiwara_f(u, i)",
+        "tests/test_cli.py::TestVerify::test_all_suites",
+    ),
+    Mutant(
+        "verify's definition line of the quasi operators checks nothing",
+        "cli.py",
+        "ok_definition &= (quasi_e(w, i), quasi_f(w, i), operators.quasi_counts(w, i)) == (",
+        "ok_definition &= True or (",
+        "tests/test_cli.py::TestVerify::test_laws_suite_fails_when_quasi_ignores_inversions",
+    ),
+    Mutant(
+        "bracket_reduce lets no i cancel an open i+1",
+        "operators.py",
+        "            if minus:\n                minus.pop()",
+        "            if False:\n                minus.pop()",
+        "tests/test_operators.py::TestBracketReduce::test_matches_naive_rewriting",
+    ),
+    Mutant(
+        "RecordingRibbon takes labels that are not 1..N",
+        "quasiribbon.py",
+        "        if not is_standard(labels):",
+        "        if False:",
+        "tests/test_quasiribbon.py::TestRecordingRibbon::test_validation",
+    ),
+    Mutant(
+        "RecordingRibbon compares only how many descents it has",
+        "quasiribbon.py",
+        "if descents != descents_of_composition(shape):",
+        "if len(descents) != len(descents_of_composition(shape)):",
+        "tests/test_quasiribbon.py::TestRibbonRulesExhaustive::"
+        "test_recording_ribbon_on_every_permutation",
+    ),
+    Mutant(
+        "Component checks the symbols of its targets only",
+        "graphs.py",
+        "for w in (u, *row.values()):",
+        "for w in row.values():",
+        _SYMBOLS,
+    ),
+    Mutant(
+        "Component checks the symbols of its vertices only",
+        "graphs.py",
+        "for w in (u, *row.values()):",
+        "for w in (u,):",
+        _SYMBOLS,
+    ),
+    Mutant(
+        "column_reading reads an argument without columns",
+        "young.py",
+        "    if columns is None:",
+        "    if False:",
+        "tests/test_young.py::TestReadingsAndTabloids::test_rejects_an_argument_without_columns",
+    ),
+    Mutant(
+        "the brute component count's word cap sits ten times too high",
+        "counting.py",
+        "if n ** k > MAX_BRUTE_WORDS:",
+        "if n ** k > MAX_BRUTE_WORDS * 10:",
+        _BOUNDARY,
+    ),
+    Mutant(
+        "the brute component count refuses a count at its word cap",
+        "counting.py",
+        "if n ** k > MAX_BRUTE_WORDS:",
+        "if n ** k >= MAX_BRUTE_WORDS:",
+        _BOUNDARY,
+    ),
+    Mutant(
+        "the brute class size refuses a shape at its weight cap",
+        "counting.py",
+        "if sum(shape) > MAX_BRUTE_WEIGHT:",
+        "if sum(shape) >= MAX_BRUTE_WEIGHT:",
+        "tests/test_counting.py::TestNovelliRecursion::test_guard_allows_weight_10",
+    ),
+]
+
+
+def source(mutant: Mutant, root: Path = ROOT) -> Path:
+    return root / "src" / "hypoplactic" / mutant.file
+
+
+def is_stale(mutant: Mutant, root: Path = ROOT) -> bool:
+    """Whether the old text is not found exactly once in its file."""
+    return source(mutant, root).read_text().count(mutant.old) != 1
+
+
+def _copy(into: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, into / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", into / "pyproject.toml")
+
+
+def _pytest(copy: Path, tests: list[str]) -> subprocess.CompletedProcess:
+    """Run ``tests`` in ``copy``, importing the package from the copy only;
+    raises TimeoutExpired past the timeout."""
+    env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S,
+    )
+
+
+def _run(mutant: Mutant) -> str:
+    if is_stale(mutant):
+        return "stale"
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        _copy(copy)
+        path = source(mutant, copy)
+        path.write_text(path.read_text().replace(mutant.old, mutant.new))
+        try:
+            code = _pytest(copy, [mutant.test]).returncode
+        except subprocess.TimeoutExpired:
+            return "hung"
+    return {0: "survived", 1: "killed"}.get(code, "error")
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        _copy(Path(tmp))
+        try:
+            baseline = _pytest(Path(tmp), sorted({m.test for m in MUTANTS}))
+        except subprocess.TimeoutExpired:
+            print(f"the named tests ran past {TIMEOUT_S} s on the unchanged code")
+            return 1
+    if baseline.returncode != 0:
+        print("the named tests do not all pass on the unchanged code:")
+        print(baseline.stdout[-2000:])
+        return 1
+    tally: dict[str, int] = {}
+    for mutant in MUTANTS:
+        start = time.perf_counter()
+        outcome = _run(mutant)
+        tally[outcome] = tally.get(outcome, 0) + 1
+        print(f"{outcome:<8} {time.perf_counter() - start:5.1f} s  {mutant.file}: {mutant.what}"
+              f"  [{mutant.test}]", flush=True)
+    summary = ", ".join(f"{tally.get(k, 0)} {k}"
+                        for k in ("killed", "survived", "hung", "stale", "error"))
+    print(f"{len(MUTANTS)} mutants: {summary}")
+    return 0 if tally.get("killed", 0) == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

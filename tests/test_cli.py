@@ -327,6 +327,16 @@ class TestVerify:
         assert code == 3
         assert f"FAIL [graphs] {self.GRAPHS_LABELS[label]}" in out.splitlines()
 
+    def test_laws_suite_fails_when_quasi_ignores_inversions(self, capsys, monkeypatch):
+        """The laws suite checks the quasi operators against their
+        definition, so a lowering that acts through an i-inversion
+        prints FAIL on that line and exits 3."""
+        monkeypatch.setattr(operators, "quasi_f", operators.kashiwara_f)
+        code, out, _ = run(capsys, "verify", "--suite", "laws")
+        assert code == 3
+        assert ("FAIL [laws] quasi operators are undefined on an i-inversion, "
+                "else move the leftmost i+1 or rightmost i") in out.splitlines()
+
 
 # Each flag a subcommand does not read, which the parser used to accept
 # and ignore on every subcommand.

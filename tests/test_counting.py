@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoplactic import counting
 from hypoplactic.counting import (
     TooLargeError,
     count_iso_plac_components_with_qrw,
@@ -161,6 +162,9 @@ class TestNovelliRecursion:
                            match=r"^weight 11 of '11' is beyond the brute-force cap of weight 10$"):
             novelli_recursion_check((11,), 1)
 
+    def test_guard_allows_weight_10(self):
+        assert hypo_class_size_brute((10,), 1) == 1
+
 
 class TestCountQrt:
     def test_two_by_two(self):
@@ -233,6 +237,17 @@ class TestCountIsoComponents:
         with pytest.raises(TooLargeError, match=r"^5\^12 = 244140625 words is beyond "
                                                 r"the enumeration cap of 200000$"):
             count_iso_plac_components_with_qrw_brute((5, 4, 3), 5)
+
+    def test_brute_guard_at_its_boundary(self, monkeypatch):
+        """3^4 = 81 words: enumerated under a cap of 81, refused with both
+        numbers under a cap of 80."""
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 81)
+        assert count_iso_plac_components_with_qrw_brute((2, 1, 1), 3) == \
+            count_iso_plac_components_with_qrw((2, 1, 1), 3)
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 80)
+        with pytest.raises(TooLargeError, match=r"^3\^4 = 81 words is beyond "
+                                                r"the enumeration cap of 80$"):
+            count_iso_plac_components_with_qrw_brute((2, 1, 1), 3)
 
 
 FORMULAS_AND_ORACLES = [

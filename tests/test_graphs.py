@@ -718,6 +718,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match="^i must be an integer"):
             Component(QUASI_CRYSTAL, 2, (1,), {(1,): {label: (2,)}, (2,): {}})
 
+    @pytest.mark.parametrize("out", [
+        {(1,): {1: (2,)}, (2.0,): {}},
+        {(1,): {1: (2.0,)}, (2,): {}},
+        {(True,): {1: (2,)}, (2,): {}},
+    ], ids=["float-vertex", "float-target", "bool-symbol"])
+    def test_constructor_rejects_a_symbol_that_is_not_an_integer(self, out):
+        """A dict finds 2.0 and True under the int keys 2 and 1, so only
+        a check of the symbols themselves turns these words down."""
+        with pytest.raises(ValueError, match="^entries must be positive integers$"):
+            Component(QUASI_CRYSTAL, 2, (1,), out)
+
     def test_json_rejects_two_edges_with_one_source_and_label(self):
         data = {**self._ONE_TWO, "edges": [
             {"from": "1", "label": 1, "to": "1"},

@@ -151,6 +151,26 @@ class TestQuasiOperators:
                     k, cur = k + 1, nxt
                 assert k == phi
 
+    def test_matches_the_definition(self):
+        """The paper's definition, read off the word itself: undefined on
+        an i-inversion (some i+1 left of some i), otherwise the leftmost
+        i+1 falls to i, the rightmost i rises to i+1, and (epsilon, phi)
+        are the counts of i+1 and of i."""
+        for w in words_up_to(4, 6):
+            for i in (1, 2, 3, 4):
+                uppers = [p for p, a in enumerate(w) if a == i + 1]
+                lowers = [p for p, a in enumerate(w) if a == i]
+                if uppers and lowers and uppers[0] < lowers[-1]:
+                    assert quasi_e(w, i) is None
+                    assert quasi_f(w, i) is None
+                    assert quasi_counts(w, i) == (0, 0)
+                    continue
+                up = w[:uppers[0]] + (i,) + w[uppers[0] + 1:] if uppers else None
+                down = w[:lowers[-1]] + (i + 1,) + w[lowers[-1] + 1:] if lowers else None
+                assert quasi_e(w, i) == up
+                assert quasi_f(w, i) == down
+                assert quasi_counts(w, i) == (len(uppers), len(lowers))
+
 
 class TestOperatorLaws:
     def test_mutually_inverse(self):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hypoplactic.operators import kashiwara_e
-from hypoplactic.quasiribbon import QuasiRibbonTableau
+from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, qr_column_reading
 from hypoplactic.words import parse_word, weight
 from hypoplactic.young import (
     StandardYoungTableau,
@@ -244,6 +244,15 @@ class TestReadingsAndTabloids:
 
     def test_single_cell(self):
         assert column_reading(Tabloid([(3,)])) == (3,)
+
+    @pytest.mark.parametrize("read", [column_reading, qr_column_reading],
+                             ids=["column_reading", "qr_column_reading"])
+    @pytest.mark.parametrize("t", [RecordingRibbon((2, 1), (2, 3, 1)), [(1, 2)], None],
+                             ids=["recording-ribbon", "list", "none"])
+    def test_rejects_an_argument_without_columns(self, read, t):
+        with pytest.raises(ValueError, match="^expected a YoungTableau, Tabloid, "
+                                             "QuasiRibbonTabloid or QuasiRibbonTableau$"):
+            read(t)
 
     def test_tabloid_of_worked_example(self):
         assert tabloid_of(parse_word("526431454212")) == Tabloid(EQ33_COLUMNS)
