@@ -12,17 +12,20 @@ and ``to_tabloid`` wraps them.  Rows, columns, words and inserted
 symbols are checked by ``words._check_symbols``.
 
 Schensted insertion is one private bumping loop over a whole word,
-shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent``.  It
-appends without bisecting once a symbol reaches the row's last entry,
-and records only the row in which each insertion ended; ``rsk`` builds
-the recording tableau Q from those end rows after the loop.  Below the
-top row it uses the row-bumping lemma: an entry bumped out of column c
-lands in the next row at a column no further right than c, because
-that row's entry in column c, where there is one, lies strictly below
-the bumped entry in its column and so exceeds it.  Such an entry needs
-no end-of-row test and searches only the columns left of c.  One private
-reverse-bumping loop undoes it from the end rows, for ``rsk_inverse``
-and for the crystal root in ``graphs``.
+shared by ``schensted_insert``, ``rsk`` and ``plactic_congruent`` here
+and by the crystal root and ``plac_component_contains_qrw`` in
+``graphs``.  It appends without bisecting once a symbol reaches the
+row's last entry, and records only the row in which each insertion
+ended; ``rsk`` builds the recording tableau Q from those end rows
+after the loop.  Below the top row it uses the row-bumping lemma: an
+entry bumped out of column c lands in the next row at a column no
+further right than c, because that row's entry in column c, where
+there is one, lies strictly below the bumped entry in its column and
+so exceeds it.  Such an entry needs no end-of-row test.  It lands at c
+unless the entry left of c exceeds it, then at c - 1 unless the entry
+left of that does, and only otherwise bisects the columns left of
+c - 1.  One private reverse-bumping loop undoes it from the end rows,
+for ``rsk_inverse`` and for the crystal root in ``graphs``.
 """
 
 from __future__ import annotations
@@ -234,10 +237,14 @@ def _schensted(
     The top row is searched whole.  Below it, the loop carries the
     column c that the bumped entry a left.  Where the next row has a
     column c, its entry there sat below a before the bump, so column
-    strictness makes it greater than a: a lands at a column at most c,
-    found by bisecting the columns before c, and cannot end the
-    insertion.  Where the row is shorter than c + 1 the end-of-row test
-    and the whole-row search apply as in the top row.
+    strictness makes it greater than a: a lands at a column at most c
+    and cannot end the insertion.  It lands at c when c is 0 or the
+    entry at c - 1 is at most a; failing that at c - 1 when c - 1 is 0
+    or the entry at c - 2 is at most a; and only failing both is the
+    row bisected, over the columns before c - 1.  On long words over
+    many symbols most bumps stop at one of the two tests.  Where the
+    row is shorter than c + 1 the end-of-row test and the whole-row
+    search apply as in the top row.
     """
     if rows is None:
         rows = []
@@ -259,7 +266,10 @@ def _schensted(
         while r < height:
             row = rows[r]
             if c < len(row):
-                c = bisect_right(row, a, 0, c)
+                if c and row[c - 1] > a:  # row[c] sat below a, so a lands at c or left of it
+                    c -= 1
+                    if c and row[c - 1] > a:
+                        c = bisect_right(row, a, 0, c - 1)
             elif a >= row[-1]:
                 row.append(a)
                 break

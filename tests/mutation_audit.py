@@ -151,6 +151,79 @@ MUTANTS = [
         "if sum(shape) >= MAX_BRUTE_WEIGHT:",
         "tests/test_counting.py::TestNovelliRecursion::test_guard_allows_weight_10",
     ),
+    Mutant(
+        "a bumped entry stays at its column when the entry left of it equals it",
+        "young.py",
+        "if c and row[c - 1] > a:  #",
+        "if c and row[c - 1] >= a:  #",
+        "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::test_exhaustive",
+    ),
+    Mutant(
+        "a bumped entry that passes its column always lands one column left",
+        "young.py",
+        "                    c -= 1\n"
+        "                    if c and row[c - 1] > a:\n"
+        "                        c = bisect_right(row, a, 0, c - 1)",
+        "                    c -= 1",
+        "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::"
+        "test_seeded_words_up_to_2000_over_as_many_symbols",
+    ),
+    Mutant(
+        "reverse bumping replaces the rightmost entry at most the bumped one",
+        "young.py",
+        "c = bisect_left(row, a) - 1",
+        "c = bisect_right(row, a) - 1",
+        "tests/test_oracles.py::TestRskInverseAgainstRsk::test_exhaustive",
+    ),
+    Mutant(
+        "the sort starts a new row only where the next sorted position is two or more places left",
+        "quasiribbon.py",
+        "        if h < prev:",
+        "        if h + 1 < prev:",
+        "tests/test_quasiribbon.py::TestHypoRsk::test_matches_kt_insert_fold",
+    ),
+    Mutant(
+        "the quasi root fills rows as though the shape were a partition",
+        "graphs.py",
+        "enumerate(shape, start=1) for _ in range(part))",
+        "enumerate(sorted(shape), start=1) for _ in range(part))",
+        "tests/test_oracles.py::TestRootsAgainstGreedyRaising::test_quasi_exhaustive",
+    ),
+    Mutant(
+        "the bracket scan flags the label below the one whose bracket cancelled",
+        "graphs.py",
+        "cancelled |= 1 << a\n",
+        "cancelled |= 1 << a - 1\n",
+        "tests/test_oracles.py::TestBracketScan::test_exhaustive",
+    ),
+    Mutant(
+        "the class-size recurrence alternates its signs the wrong way",
+        "counting.py",
+        "(-1) ** (j - i - 1)",
+        "(-1) ** (j - i)",
+        "tests/test_counting.py::TestClassSize::test_formula_vs_oracle_sweep",
+    ),
+    Mutant(
+        "count_qrt takes the top of its binomial from a one-row shape",
+        "counting.py",
+        "return comb(n + sum(shape) - len(shape), n - len(shape))",
+        "return comb(n + sum(shape) - 1, n - len(shape))",
+        "tests/test_counting.py::TestCountQrt::test_matches_component_size",
+    ),
+    Mutant(
+        "factorization_count takes a step from tau to sigma as an ascent",
+        "counting.py",
+        "by_tau if descent else 0",
+        "by_tau if not descent else 0",
+        "tests/test_counting.py::TestFactorizationCount::test_matches_shuffle_oracle",
+    ),
+    Mutant(
+        "plac_component_contains_qrw lets a row of Q start above the row under the last",
+        "graphs.py",
+        "if r != above + 1:",
+        "if r > above + 1:",
+        "tests/test_graphs.py::TestPlacComponentContainsQrw::test_matches_search_exhaustive",
+    ),
 ]
 
 
