@@ -163,9 +163,19 @@ def qr_tableaux_of_shape(shape: Composition, n: int) -> Iterator[QuasiRibbonTabl
 
 
 def count_qrt_brute(shape: Composition, n: int) -> int:
-    """Oracle for count_qrt by exhaustive filling."""
+    """Oracle for count_qrt by exhaustive filling.  The fillings are
+    the multisets that ``qr_tableaux_of_shape`` lists, so they are
+    counted before any is built and refused above MAX_BRUTE_WORDS."""
     shape = _checked(shape, n)
     _guard_weight(shape)
+    size = sum(shape)
+    top = n - len(shape) + size  # below size, so no fillings, when len(shape) > n
+    fillings = comb(top, size)
+    if fillings > MAX_BRUTE_WORDS:
+        raise TooLargeError(
+            f"C({top}, {size}) = {fillings} fillings is beyond "
+            f"the enumeration cap of {MAX_BRUTE_WORDS}"
+        )
     return sum(1 for _ in qr_tableaux_of_shape(shape, n))
 
 
@@ -188,6 +198,8 @@ def count_iso_plac_components_with_qrw_brute(lam: Composition, n: int) -> int:
     signatures) count those holding a quasi-ribbon word."""
     lam = _checked(lam, n, partition=True)
     k = sum(lam)
+    if n >= 2 and k >= MAX_BRUTE_WORDS.bit_length():  # n^k >= 2^k > MAX_BRUTE_WORDS
+        raise TooLargeError(f"{n}^{k} words is beyond the enumeration cap of {MAX_BRUTE_WORDS}")
     if n ** k > MAX_BRUTE_WORDS:
         raise TooLargeError(
             f"{n}^{k} = {n ** k} words is beyond the enumeration cap of {MAX_BRUTE_WORDS}"

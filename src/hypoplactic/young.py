@@ -17,15 +17,19 @@ and by the crystal root and ``plac_component_contains_qrw`` in
 ``graphs``.  It appends without bisecting once a symbol reaches the
 row's last entry, and records only the row in which each insertion
 ended; ``rsk`` builds the recording tableau Q from those end rows
-after the loop.  Below the top row it uses the row-bumping lemma: an
-entry bumped out of column c lands in the next row at a column no
-further right than c, because that row's entry in column c, where
-there is one, lies strictly below the bumped entry in its column and
-so exceeds it.  Such an entry needs no end-of-row test.  It lands at c
-unless the entry left of c exceeds it, then at c - 1 unless the entry
-left of that does, and only otherwise bisects the columns left of
-c - 1.  One private reverse-bumping loop undoes it from the end rows,
-for ``rsk_inverse`` and for the crystal root in ``graphs``.
+after the loop.  While it bumps, each row list opens with a 0 that
+every symbol exceeds, so the loop needs no test for column 0 and
+index c + 1 holds column c; the 0s are stripped before it returns.
+Below the top row it uses the row-bumping lemma: an entry bumped out
+of column c lands in the next row at a column no further right than
+c, because that row's entry in column c, where there is one, lies
+strictly below the bumped entry in its column and so exceeds it.  Such
+an entry needs no end-of-row test.  It lands at c unless the entry
+left of c exceeds it, then at c - 1 unless the entry left of that
+does, then at c - 2 unless the entry left of that does, and only
+otherwise bisects the columns left of c - 2.  One private
+reverse-bumping loop undoes it from the end rows, for ``rsk_inverse``
+and for the crystal root in ``graphs``.
 """
 
 from __future__ import annotations
@@ -234,42 +238,51 @@ def _schensted(
     one.  The loop keeps no other record: the recording tableau is built
     from the end rows afterwards.
 
+    While it bumps, each row list opens with a 0, which every symbol
+    exceeds since callers check them, so the index c of an entry is its
+    column + 1.  The 0 is never bumped and is stripped before the rows
+    are returned.  It stands left of every entry wherever the loop
+    reads the entry left of c, and ends an empty tableau's top row,
+    where the end-of-row test appends.
+
     The top row is searched whole.  Below it, the loop carries the
-    column c that the bumped entry a left.  Where the next row has a
-    column c, its entry there sat below a before the bump, so column
-    strictness makes it greater than a: a lands at a column at most c
-    and cannot end the insertion.  It lands at c when c is 0 or the
-    entry at c - 1 is at most a; failing that at c - 1 when c - 1 is 0
-    or the entry at c - 2 is at most a; and only failing both is the
-    row bisected, over the columns before c - 1.  On long words over
-    many symbols most bumps stop at one of the two tests.  Where the
-    row is shorter than c + 1 the end-of-row test and the whole-row
-    search apply as in the top row.
+    index c that the bumped entry a left.  Where the next row has an
+    index c, its entry there sat below a before the bump, so column
+    strictness makes it greater than a: a lands at an index at most c
+    and cannot end the insertion.  It lands at c when the entry at
+    c - 1 is at most a, failing that at c - 1 when the entry at c - 2
+    is, failing that at c - 2 when the entry at c - 3 is, and only
+    failing all three is the row bisected, over the indices before
+    c - 2.  On long words over many symbols most bumps stop at one of
+    the three tests.  Where the row is shorter than c + 1 the
+    end-of-row test and the whole-row search apply as in the top row.
     """
     if rows is None:
-        rows = []
+        rows = [[0]]
+    else:
+        for row in rows:
+            row.insert(0, 0)
+        if not rows:
+            rows.append([0])
+    top = rows[0]
+    below = rows[1:]  # the same row lists as rows[1:], grown alongside it
     ends = []
     for a in w:
-        if not rows:
-            rows.append([a])
+        if a >= top[-1]:
+            top.append(a)
             ends.append(0)
             continue
-        row = rows[0]
-        if a >= row[-1]:
-            row.append(a)
-            ends.append(0)
-            continue
-        c = bisect_right(row, a)
-        row[c], a = a, row[c]
+        c = bisect_right(top, a)
+        top[c], a = a, top[c]
         r = 1
-        height = len(rows)
-        while r < height:
-            row = rows[r]
+        for row in below:
             if c < len(row):
-                if c and row[c - 1] > a:  # row[c] sat below a, so a lands at c or left of it
+                if row[c - 1] > a:  # row[c] sat below a, so a lands at c or left of it
                     c -= 1
-                    if c and row[c - 1] > a:
-                        c = bisect_right(row, a, 0, c - 1)
+                    if row[c - 1] > a:
+                        c -= 1
+                        if row[c - 1] > a:
+                            c = bisect_right(row, a, 1, c - 1)
             elif a >= row[-1]:
                 row.append(a)
                 break
@@ -278,8 +291,14 @@ def _schensted(
             row[c], a = a, row[c]
             r += 1
         else:
-            rows.append([a])
+            row = [0, a]
+            rows.append(row)
+            below.append(row)
         ends.append(r)
+    for row in rows:
+        del row[0]
+    if not top:
+        rows.pop()
     return rows, ends
 
 

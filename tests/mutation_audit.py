@@ -50,6 +50,12 @@ _SYMBOLS = ("tests/test_graphs.py::TestSerialization::"
             "test_constructor_rejects_a_symbol_that_is_not_an_integer")
 _BOUNDARY = ("tests/test_counting.py::TestCountIsoComponents::"
              "test_brute_guard_at_its_boundary")
+_UNBUILT = ("tests/test_counting.py::TestCountIsoComponents::"
+            "test_unbuilt_power_guard_at_its_boundary")
+_FILLINGS = "tests/test_counting.py::TestCountQrt::test_brute_guard_at_its_boundary"
+_SCHENSTED = "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::test_exhaustive"
+_SCHENSTED_LONG = ("tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::"
+                   "test_seeded_words_up_to_2000_over_as_many_symbols")
 
 MUTANTS = [
     Mutant(
@@ -145,6 +151,34 @@ MUTANTS = [
         _BOUNDARY,
     ),
     Mutant(
+        "the brute component count builds the power one bit past the cap's length",
+        "counting.py",
+        "if n >= 2 and k >= MAX_BRUTE_WORDS.bit_length():",
+        "if n >= 2 and k > MAX_BRUTE_WORDS.bit_length():",
+        _UNBUILT,
+    ),
+    Mutant(
+        "the brute component count refuses 1^k unbuilt",
+        "counting.py",
+        "if n >= 2 and k >= MAX_BRUTE_WORDS.bit_length():",
+        "if n >= 1 and k >= MAX_BRUTE_WORDS.bit_length():",
+        _UNBUILT,
+    ),
+    Mutant(
+        "the brute QRT count refuses a count at its filling cap",
+        "counting.py",
+        "if fillings > MAX_BRUTE_WORDS:",
+        "if fillings >= MAX_BRUTE_WORDS:",
+        _FILLINGS,
+    ),
+    Mutant(
+        "the brute QRT count's filling cap sits one too high",
+        "counting.py",
+        "if fillings > MAX_BRUTE_WORDS:",
+        "if fillings > MAX_BRUTE_WORDS + 1:",
+        _FILLINGS,
+    ),
+    Mutant(
         "the brute class size refuses a shape at its weight cap",
         "counting.py",
         "if sum(shape) > MAX_BRUTE_WEIGHT:",
@@ -154,19 +188,64 @@ MUTANTS = [
     Mutant(
         "a bumped entry stays at its column when the entry left of it equals it",
         "young.py",
-        "if c and row[c - 1] > a:  #",
-        "if c and row[c - 1] >= a:  #",
-        "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::test_exhaustive",
+        "if row[c - 1] > a:  #",
+        "if row[c - 1] >= a:  #",
+        _SCHENSTED,
     ),
     Mutant(
         "a bumped entry that passes its column always lands one column left",
         "young.py",
         "                    c -= 1\n"
-        "                    if c and row[c - 1] > a:\n"
-        "                        c = bisect_right(row, a, 0, c - 1)",
+        "                    if row[c - 1] > a:\n"
+        "                        c -= 1\n"
+        "                        if row[c - 1] > a:\n"
+        "                            c = bisect_right(row, a, 1, c - 1)",
         "                    c -= 1",
-        "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::"
-        "test_seeded_words_up_to_2000_over_as_many_symbols",
+        _SCHENSTED_LONG,
+    ),
+    Mutant(
+        "a bumped entry that passes two columns lands two left when the entry there equals it",
+        "young.py",
+        "                        if row[c - 1] > a:\n",
+        "                        if row[c - 1] >= a:\n",
+        _SCHENSTED_LONG,
+    ),
+    Mutant(
+        "a bumped entry that passes two columns always lands two columns left",
+        "young.py",
+        "                        c -= 1\n"
+        "                        if row[c - 1] > a:\n"
+        "                            c = bisect_right(row, a, 1, c - 1)",
+        "                        c -= 1",
+        _SCHENSTED_LONG,
+    ),
+    Mutant(
+        "a new tableau's top row opens with a 2, which a 1 bumps",
+        "young.py",
+        "        rows = [[0]]",
+        "        rows = [[2]]",
+        _SCHENSTED,
+    ),
+    Mutant(
+        "a new row is not walked by later insertions",
+        "young.py",
+        "            below.append(row)\n",
+        "",
+        _SCHENSTED,
+    ),
+    Mutant(
+        "given rows get no opening 0, so their first entries are stripped",
+        "young.py",
+        "            row.insert(0, 0)",
+        "            pass",
+        "tests/test_young.py::TestSchenstedInsert::test_bump_step",
+    ),
+    Mutant(
+        "the empty word's tableau keeps an empty top row",
+        "young.py",
+        "    if not top:\n",
+        "    if False:\n",
+        "tests/test_young.py::TestRsk::test_empty",
     ),
     Mutant(
         "reverse bumping replaces the rightmost entry at most the bumped one",

@@ -268,6 +268,25 @@ class TestCounts:
         code, _, err = run(capsys, "count-qrt", "2,2")
         assert code == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (("count-qrt", "1,1", "-n", "1000000"),
+         "C(1000000, 2) = 499999500000 fillings is beyond the enumeration cap of 200000"),
+        (("count-qrt", "1,1,1,1,1,1,1,1,1,1", "-n", "60"),
+         "C(60, 10) = 75394027566 fillings is beyond the enumeration cap of 200000"),
+        (("count-components", "3000", "-n", "3"),
+         "3^3000 words is beyond the enumeration cap of 200000"),
+        (("count-components", "10000", "-n", "3"),
+         "3^10000 words is beyond the enumeration cap of 200000"),
+        (("count-components", "100000000", "-n", "3"),
+         "3^100000000 words is beyond the enumeration cap of 200000"),
+    ])
+    def test_brute_oracle_over_its_cap_is_exit_2(self, capsys, argv, message):
+        """Each is refused before it enumerates, with the count and the
+        cap: 3^10000 has more digits than an int may print, and
+        3^100000000 takes long to build."""
+        code, out, err = run(capsys, *argv, "--brute")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_brute_mismatch_is_exit_3(self, capsys, monkeypatch, fmt):
         # the parser reads the oracle off the module on every call

@@ -178,6 +178,19 @@ class TestCountQrt:
     def test_single_row_single_symbol(self):
         assert count_qrt((5,), 1) == 1
 
+    def test_brute_guard_at_its_boundary(self, monkeypatch):
+        """C(6, 4) = 15 fillings of 2,2 over 4: listed under a cap of 15,
+        refused with both numbers under a cap of 14.  With more rows than
+        symbols there are none, so a cap of 0 refuses nothing."""
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 15)
+        assert count_qrt_brute((2, 2), 4) == 15
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 14)
+        with pytest.raises(TooLargeError, match=r"^C\(6, 4\) = 15 fillings is beyond "
+                                                r"the enumeration cap of 14$"):
+            count_qrt_brute((2, 2), 4)
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 0)
+        assert count_qrt_brute((1, 1, 1), 2) == 0
+
     def test_generation_is_valid_and_distinct(self):
         seen = set(qr_tableaux_of_shape((2, 1, 2), 4))
         assert len(seen) == count_qrt((2, 1, 2), 4)
@@ -248,6 +261,17 @@ class TestCountIsoComponents:
         with pytest.raises(TooLargeError, match=r"^3\^4 = 81 words is beyond "
                                                 r"the enumeration cap of 80$"):
             count_iso_plac_components_with_qrw_brute((2, 1, 1), 3)
+
+    def test_unbuilt_power_guard_at_its_boundary(self, monkeypatch):
+        """Under a cap of 80, of bit length 7: 2^6 = 64 words are
+        enumerated, 2^7 is refused unbuilt, and 1^7 = 1 word is no power
+        of 2 or more."""
+        monkeypatch.setattr(counting, "MAX_BRUTE_WORDS", 80)
+        assert count_iso_plac_components_with_qrw_brute((6,), 2) == 1
+        assert count_iso_plac_components_with_qrw_brute((7,), 1) == 1
+        with pytest.raises(TooLargeError, match=r"^2\^7 words is beyond "
+                                                r"the enumeration cap of 80$"):
+            count_iso_plac_components_with_qrw_brute((7,), 2)
 
 
 FORMULAS_AND_ORACLES = [

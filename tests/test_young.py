@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hypoplactic import young
 from hypoplactic.operators import kashiwara_e
 from hypoplactic.quasiribbon import QuasiRibbonTableau, RecordingRibbon, qr_column_reading
 from hypoplactic.words import parse_word, weight
@@ -156,6 +157,35 @@ class TestSchenstedInsert:
             schensted_insert(QuasiRibbonTableau((2, 1), (1, 1, 2)), 3)
         with pytest.raises(ValueError, match="^tableau must be a YoungTableau$"):
             schensted_insert(((1, 1), (2,)), 3)
+
+
+def assert_bumps_on_from_the_rows_of(u, v):
+    """Bumping v into the rows of P(u) builds P(uv), and its insertions
+    end where the last |v| insertions of uv do."""
+    rows = [list(row) for row in rsk(u)[0].rows]
+    whole_rows, whole_ends = young._schensted(u + v)
+    assert young._schensted(v, rows) == (whole_rows, whole_ends[len(u):])
+
+
+class TestSchenstedIntoGivenRows:
+    """The bumping loop started on rows it did not build, as a product
+    of two tableaux would start it."""
+
+    def test_exhaustive(self):
+        """Every split of every word over 1..3 up to length 6."""
+        for w in words_up_to(3, 6):
+            for k in range(len(w) + 1):
+                assert_bumps_on_from_the_rows_of(w[:k], w[k:])
+
+    @settings(deadline=None)
+    @given(
+        st.integers(1, 400).flatmap(lambda n: st.tuples(
+            st.lists(st.integers(1, n), max_size=400).map(tuple),
+            st.lists(st.integers(1, n), max_size=200).map(tuple),
+        ))
+    )
+    def test_long_words_over_many_symbols(self, pair):
+        assert_bumps_on_from_the_rows_of(*pair)
 
 
 class TestRsk:
