@@ -144,9 +144,12 @@ def _cmd_component(args) -> int:
         print(f"n: {component.n}")
         print(f"root: {words.format_word(component.root)}")
         print(f"vertices: {len(component)}")
-        for u, i, v, quasi in component._flagged_edges():
-            mark = "  [crystal-only]" if args.overlay and not quasi else ""
-            print(f"{words.format_word(u)} -{i}-> {words.format_word(v)}{mark}")
+        order = component.canonical_order()
+        for u, mask, row in component._sorted_rows():
+            source = words.format_word(u)
+            for i, j in row:
+                mark = "  [crystal-only]" if args.overlay and mask >> i & 1 else ""
+                print(f"{source} -{i}-> {words.format_word(order[j])}{mark}")
     return EXIT_OK
 
 

@@ -16,6 +16,11 @@ weight and labelled out-neighbours as visit indices.  Since there is at
 most one out-edge per label, two components are isomorphic exactly when
 their signatures coincide, and then the visit numbering itself is the
 unique isomorphism.
+
+One walk per component explores and numbers it, reading each vertex's
+edges off one bracket scan; the component keeps the walk's store, and
+every list of its edges in sorted word order is read off that store by
+one reader.
 """
 
 from __future__ import annotations
@@ -101,7 +106,8 @@ def _walk(
     vertex only along those outside its mask.  Vertices are numbered by
     their ``_key``: f_i at position p raises one digit from i to i+1 <= n,
     which adds the digit's unit to the key, so a target is found by one
-    addition and its word is built only when it is new.  The walk checks
+    addition and its word is built only when it is new: a list copy of
+    the source with that one entry raised, made a tuple.  The walk checks
     every edge it follows: no vertex has two in-edges with one label.
     No edge can enter the root: every edge adds a positive unit to its
     source's key, and every vertex is reached from the root by such
@@ -133,7 +139,9 @@ def _walk(
             j = index.get(target)
             if j is None:
                 j = index[target] = len(order)
-                order.append(u[:pos] + (i + 1,) + u[pos + 1:])
+                v = list(u)
+                v[pos] = i + 1
+                order.append(tuple(v))
                 keys.append(target)
                 in_labels.append(bit)
             elif in_labels[j] & bit:
@@ -158,7 +166,9 @@ class Component:
     and each vertex's i-inversion labels as a bit mask, from the
     bracket scan that found its edges.  ``out``, ``vertices``, ``edges``
     and the numbering by word behind ``index_of`` are read off that
-    store; all but ``edges`` are built on first use and kept.
+    store; all but ``edges`` are built on first use and kept.  One
+    reader, ``_sorted_rows``, yields the store in sorted word order, for
+    ``edges``, the overlay split, the JSON edges and the CLI text.
 
     The constructor is the one validator of a component: ``out`` maps
     each vertex to its labelled out-neighbours, sinks included, every
@@ -223,17 +233,17 @@ class Component:
     def vertices(self) -> frozenset[Word]:
         return frozenset(self._order)
 
-    def _flagged_edges(self) -> Iterator[tuple[Word, int, Word, bool]]:
-        """``(u, i, v, quasi)`` for every edge in sorted order, where
-        ``quasi`` says whether the quasi operator also performs it: i is
-        not among the i-inversion labels of u.  Every edge of a
-        quasi-crystal component is one.  The vertices all have one
-        length, so sorting their keys sorts them."""
+    def _sorted_rows(self) -> Iterator[tuple[Word, int, tuple[tuple[int, int], ...]]]:
+        """The one reader of the store in sorted word order: ``(u, mask,
+        row)`` once per vertex, with u's i-inversion labels as a bit mask
+        and its out-edges as ``(label, target index)`` pairs, each target
+        indexing ``canonical_order()``.  The quasi operator also performs
+        an edge u -i-> v exactly when bit i of the mask is clear; every
+        edge of a quasi-crystal component is one.  The vertices all have
+        one length, so sorting their keys sorts them."""
         order, rows, masks = self._order, self._rows, self._masks
         for _, k in sorted(self._keys.items()):
-            u, mask = order[k], masks[k]
-            for i, j in rows[k]:
-                yield u, i, order[j], not mask >> i & 1
+            yield order[k], masks[k], rows[k]
 
     @property
     def shape(self) -> WeakComposition:
@@ -244,7 +254,8 @@ class Component:
 
     @property
     def edges(self) -> list[Edge]:
-        return [(u, i, v) for u, i, v, _ in self._flagged_edges()]
+        order = self._order
+        return [(u, i, order[j]) for u, _, row in self._sorted_rows() for i, j in row]
 
     def canonical_order(self) -> list[Word]:
         """Vertices in breadth-first order from the root, out-edges
@@ -381,11 +392,14 @@ def _split_edges(c: Component) -> tuple[list[Edge], list[Edge]]:
     """The edges of ``c`` in sorted order, split into those that
     quasi-Kashiwara lowering also performs and the crystal-only
     remainder, by the i-inversion masks that the walk stored; every
-    edge of a quasi-crystal component is a quasi edge."""
+    edge of a quasi-crystal component is a quasi edge.  Each side is
+    read off ``_sorted_rows`` in its order, one tuple per edge."""
+    order = c._order
     quasi_edges: list[Edge] = []
     crystal_only: list[Edge] = []
-    for u, i, v, quasi in c._flagged_edges():
-        (quasi_edges if quasi else crystal_only).append((u, i, v))
+    for u, mask, row in c._sorted_rows():
+        for i, j in row:
+            (crystal_only if mask >> i & 1 else quasi_edges).append((u, i, order[j]))
     return quasi_edges, crystal_only
 
 
@@ -433,6 +447,7 @@ def component_to_dot(c: Component, dotted: Iterable[Edge] = ()) -> str:
 
 def component_to_json_dict(c: Component) -> dict:
     """JSON form with deterministic ordering, so dumps round-trip."""
+    order = c._order
     return {
         "kind": c.kind,
         "n": c.n,
@@ -442,10 +457,11 @@ def component_to_json_dict(c: Component) -> dict:
             {
                 "from": format_word(u),
                 "label": i,
-                "to": format_word(v),
-                "quasi": quasi,
+                "to": format_word(order[j]),
+                "quasi": not mask >> i & 1,
             }
-            for u, i, v, quasi in c._flagged_edges()
+            for u, mask, row in c._sorted_rows()
+            for i, j in row
         ],
     }
 

@@ -53,6 +53,7 @@ _BOUNDARY = ("tests/test_counting.py::TestCountIsoComponents::"
 _UNBUILT = ("tests/test_counting.py::TestCountIsoComponents::"
             "test_unbuilt_power_guard_at_its_boundary")
 _FILLINGS = "tests/test_counting.py::TestCountQrt::test_brute_guard_at_its_boundary"
+_SPLIT = "tests/test_oracles.py::TestEdgeSplitAgainstQuasiOperator::test_exhaustive"
 _SCHENSTED = "tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::test_exhaustive"
 _SCHENSTED_LONG = ("tests/test_oracles.py::TestSchenstedAgainstRowInsertFold::"
                    "test_seeded_words_up_to_2000_over_as_many_symbols")
@@ -274,6 +275,27 @@ MUTANTS = [
         "cancelled |= 1 << a\n",
         "cancelled |= 1 << a - 1\n",
         "tests/test_oracles.py::TestBracketScan::test_exhaustive",
+    ),
+    Mutant(
+        "the walk writes a new vertex's raised entry as i, not i + 1",
+        "graphs.py",
+        "v[pos] = i + 1",
+        "v[pos] = i",
+        "tests/test_oracles.py::TestPublicConstructor::test_accepts_the_oracle_graph",
+    ),
+    Mutant(
+        "the sorted reader of the edge store visits vertices in visit order",
+        "graphs.py",
+        "for _, k in sorted(self._keys.items()):",
+        "for k in range(len(self._order)):",
+        _SPLIT,
+    ),
+    Mutant(
+        "the overlay split reads the mask bit of the label below",
+        "graphs.py",
+        "(crystal_only if mask >> i & 1 else quasi_edges)",
+        "(crystal_only if mask >> i - 1 & 1 else quasi_edges)",
+        _SPLIT,
     ),
     Mutant(
         "the class-size recurrence alternates its signs the wrong way",

@@ -375,6 +375,8 @@ class TestEdgeSplitAgainstQuasiOperator:
                     continue
                 seen.add(c.root)
                 quasi_edges, crystal_only = crystal_overlay(w, n)
+                assert quasi_edges == sorted(quasi_edges)
+                assert crystal_only == sorted(crystal_only)
                 assert sorted(quasi_edges + crystal_only) == c.edges
                 assert all(quasi_f(u, i) == v for u, i, v in quasi_edges)
                 assert all(quasi_f(u, i) is None for u, i, _ in crystal_only)
@@ -668,8 +670,24 @@ class TestCharacters:
 
 class TestPublicConstructor:
     """Explored components rebuilt through the public constructor are
-    checked in ``assert_component_matches_oracle``; here, the graphs it
-    must reject."""
+    checked in ``assert_component_matches_oracle``; here, the oracle's
+    graphs it must accept and the graphs it must reject."""
+
+    def test_accepts_the_oracle_graph(self):
+        """Every component over n <= 3 up to length 4, both kinds, as the
+        per-label oracle explores it: the constructor accepts it and
+        numbers it as the oracle does.  Nothing here calls
+        ``explore_component``, and the constructor's walk stops once it
+        finds more vertices than the graph has, so a walk that builds
+        wrong words fails here rather than running on."""
+        for n in range(1, 4):
+            for w in words_up_to(n, 4):
+                for kind in (CRYSTAL, QUASI_CRYSTAL):
+                    out, order, signature = explore_by_label(w, n, kind)
+                    c = Component(kind, n, order[0], out)
+                    assert c.out == out
+                    assert c.canonical_order() == order
+                    assert c.signature() == signature
 
     def test_out_dict_in_any_order(self):
         c = explore_component((2, 1, 1), 3, CRYSTAL)
